@@ -7,14 +7,22 @@
 // (--nx=128 --ny=64 --nz=23 gives the paper's ~1.5 MB per array).
 #pragma once
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "climate/mini_climate.hpp"
+#include "core/compressor.hpp"
+#include "deflate/deflate.hpp"
+#include "deflate/parallel.hpp"
+#include "io/io_backend.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace wck::bench {
@@ -95,6 +103,50 @@ inline void print_header(const char* title, const char* paper_expectation) {
   std::printf("%s\n", title);
   std::printf("Paper expectation: %s\n", paper_expectation);
   std::printf("==============================================================\n");
+}
+
+/// The paper's own entropy stage (Sec. IV-D): the formatted stream is
+/// written to a temporary file, read back and gzipped, and the .gz file
+/// is written and read back again. `none` must use EntropyMode::kNone.
+/// Returns the stream WaveletCompressor::decompress() reads: a gzip
+/// body (entropy tag 2), or with `threads` >= 1 a WCKP body (tag 4)
+/// deflated by that many workers. Beside the compressor's stages, its
+/// times and telemetry gain "temp_file_write" and "deflate" (the
+/// paper's "gzip", including the file round trips).
+[[nodiscard]] inline CompressedArray temp_file_gzip_compress(const WaveletCompressor& none,
+                                                             const NdArray<double>& input,
+                                                             int threads = 0) {
+  static std::atomic<std::uint64_t> counter{0};
+  const auto base = std::filesystem::temp_directory_path() /
+                    ("wck_" + std::to_string(::getpid()) + "_" +
+                     std::to_string(counter.fetch_add(1)) + ".wck");
+  const auto gz = std::filesystem::path(base.string() + ".gz");
+  IoBackend& io = posix_backend();
+
+  CompressedArray out = none.compress(input);
+  const std::span<const std::byte> payload = std::span<const std::byte>(out.data).subspan(1);
+  {
+    WCK_STAGE("temp_file_write", &out.times);
+    io.write_file(base, payload);
+  }
+  Bytes body;
+  {
+    WCK_STAGE("deflate", &out.times);
+    const Bytes on_disk = io.read_file(base);
+    const int level = none.params().deflate_level;
+    body = threads >= 1
+               ? sharded_deflate_compress(
+                     on_disk, {level, none.params().deflate_block_size,
+                               static_cast<std::size_t>(threads)})
+               : gzip_compress(on_disk, DeflateOptions{level});
+    io.write_file(gz, body);
+    body = io.read_file(gz);
+  }
+  (void)io.remove_file(base);
+  (void)io.remove_file(gz);
+  out.data.assign(1, static_cast<std::byte>(threads >= 1 ? 4 : 2));
+  out.data.insert(out.data.end(), body.begin(), body.end());
+  return out;
 }
 
 /// Wraps a RunReport in the BENCH_*.json schema (see EXPERIMENTS.md):

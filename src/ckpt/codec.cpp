@@ -39,14 +39,8 @@ NdArray<double> parse_raw(std::span<const std::byte> data) {
 }  // namespace
 
 Bytes NullCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
-  StageTimes local;
-  Bytes out;
-  {
-    ScopedStage stage(local, "other");
-    out = serialize_raw(array);
-  }
-  if (times != nullptr) times->merge(local);
-  return out;
+  WCK_STAGE("other", times);
+  return serialize_raw(array);
 }
 
 NdArray<double> NullCodec::do_decode(std::span<const std::byte> data) const {
@@ -54,19 +48,13 @@ NdArray<double> NullCodec::do_decode(std::span<const std::byte> data) const {
 }
 
 Bytes GzipCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
-  StageTimes local;
   Bytes raw;
   {
-    ScopedStage stage(local, "other");
+    WCK_STAGE("other", times);
     raw = serialize_raw(array);
   }
-  Bytes out;
-  {
-    ScopedStage stage(local, "gzip");
-    out = gzip_compress(raw, DeflateOptions{level_});
-  }
-  if (times != nullptr) times->merge(local);
-  return out;
+  WCK_STAGE("deflate", times);
+  return gzip_compress(raw, DeflateOptions{level_});
 }
 
 NdArray<double> GzipCodec::do_decode(std::span<const std::byte> data) const {
@@ -84,16 +72,12 @@ NdArray<double> WaveletLossyCodec::do_decode(std::span<const std::byte> data) co
 }
 
 Bytes FpcCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
-  StageTimes local;
+  WCK_STAGE("fpc", times);
   ByteWriter w;
-  {
-    ScopedStage stage(local, "fpc");
-    w.u8(static_cast<std::uint8_t>(array.rank()));
-    for (std::size_t a = 0; a < array.rank(); ++a) w.varint(array.extent(a));
-    const Bytes body = fpc_compress(array.values(), FpcOptions{table_log2_});
-    w.raw(body.data(), body.size());
-  }
-  if (times != nullptr) times->merge(local);
+  w.u8(static_cast<std::uint8_t>(array.rank()));
+  for (std::size_t a = 0; a < array.rank(); ++a) w.varint(array.extent(a));
+  const Bytes body = fpc_compress(array.values(), FpcOptions{table_log2_});
+  w.raw(body.data(), body.size());
   return w.take();
 }
 
@@ -108,14 +92,8 @@ NdArray<double> FpcCodec::do_decode(std::span<const std::byte> data) const {
 }
 
 Bytes SzLikeCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
-  StageTimes local;
-  Bytes out;
-  {
-    ScopedStage stage(local, "szlike");
-    out = szlike_compress(array, SzLikeOptions{error_bound_, 6});
-  }
-  if (times != nullptr) times->merge(local);
-  return out;
+  WCK_STAGE("szlike", times);
+  return szlike_compress(array, SzLikeOptions{error_bound_, 6});
 }
 
 NdArray<double> SzLikeCodec::do_decode(std::span<const std::byte> data) const {
@@ -123,14 +101,8 @@ NdArray<double> SzLikeCodec::do_decode(std::span<const std::byte> data) const {
 }
 
 Bytes ZfpLikeCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
-  StageTimes local;
-  Bytes out;
-  {
-    ScopedStage stage(local, "zfplike");
-    out = zfplike_compress(array, ZfpLikeOptions{precision_, 6});
-  }
-  if (times != nullptr) times->merge(local);
-  return out;
+  WCK_STAGE("zfplike", times);
+  return zfplike_compress(array, ZfpLikeOptions{precision_, 6});
 }
 
 NdArray<double> ZfpLikeCodec::do_decode(std::span<const std::byte> data) const {
@@ -138,14 +110,8 @@ NdArray<double> ZfpLikeCodec::do_decode(std::span<const std::byte> data) const {
 }
 
 Bytes TruncationCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
-  StageTimes local;
-  Bytes out;
-  {
-    ScopedStage stage(local, "truncation");
-    out = truncation_compress(array, keep_, level_);
-  }
-  if (times != nullptr) times->merge(local);
-  return out;
+  WCK_STAGE("truncation", times);
+  return truncation_compress(array, keep_, level_);
 }
 
 NdArray<double> TruncationCodec::do_decode(std::span<const std::byte> data) const {

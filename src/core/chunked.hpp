@@ -23,17 +23,13 @@ struct ChunkedParams {
   CompressionParams base{};
   /// Number of axis-0 slabs; 0 = one per pool thread (min 1).
   std::size_t chunks = 0;
-  /// When nonzero, overrides base.threads for every slab's entropy stage
-  /// (the sharded deflate engine; see CompressionParams::threads). Slab
-  /// pipelines run on `pool` while their deflate shards fan out over the
-  /// engine's own shared pool, so the two levels compose without
-  /// deadlock. 0 keeps base.threads as-is.
-  int threads = 0;
 };
 
 /// Compresses `input` as independent slabs, in parallel on `pool` (pass
-/// nullptr for sequential). Output is self-describing and deterministic
-/// regardless of thread count.
+/// nullptr for sequential). Each slab's deflate blocks fan out over the
+/// deflate engine's own shared pool when base.threads asks for more than
+/// one worker, so the two levels compose without deadlock. Output is
+/// self-describing and deterministic regardless of thread count.
 [[nodiscard]] CompressedArray chunked_compress(const NdArray<double>& input,
                                                const ChunkedParams& params,
                                                ThreadPool* pool = nullptr);

@@ -1,10 +1,6 @@
 #include "core/compressor.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <fstream>
 #include <string>
 
 #include "deflate/deflate.hpp"
@@ -19,39 +15,35 @@ namespace wck {
 namespace {
 
 constexpr std::uint8_t kTagNone = 0;
-constexpr std::uint8_t kTagZlib = 1;
-constexpr std::uint8_t kTagGzip = 2;
+constexpr std::uint8_t kTagZlib = 1;     ///< read-only: no longer written
+constexpr std::uint8_t kTagGzip = 2;     ///< read-only: no longer written
 constexpr std::uint8_t kTagHuffman = 3;
-constexpr std::uint8_t kTagSharded = 4;  ///< WCKP block-parallel deflate container
+constexpr std::uint8_t kTagSharded = 4;  ///< WCKP block deflate container
 
-/// Writes `data` to `path`; throws IoError on failure.
-void write_file(const std::filesystem::path& path, std::span<const std::byte> data) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) throw IoError("cannot open " + path.string() + " for writing");
-  f.write(reinterpret_cast<const char*>(data.data()),
-          static_cast<std::streamsize>(data.size()));
-  f.flush();
-  if (!f) throw IoError("write failed for " + path.string());
-}
-
-/// Reads a whole file; throws IoError on failure.
-Bytes read_file(const std::filesystem::path& path) {
-  std::ifstream f(path, std::ios::binary | std::ios::ate);
-  if (!f) throw IoError("cannot open " + path.string() + " for reading");
-  const std::streamsize size = f.tellg();
-  f.seekg(0);
-  Bytes data(static_cast<std::size_t>(size));
-  f.read(reinterpret_cast<char*>(data.data()), size);
-  if (!f) throw IoError("read failed for " + path.string());
-  return data;
-}
-
-std::filesystem::path unique_temp_path(const std::filesystem::path& dir,
-                                       const std::string& suffix) {
-  static std::atomic<std::uint64_t> counter{0};
-  const auto base = dir.empty() ? std::filesystem::temp_directory_path() : dir;
-  return base / ("wck_" + std::to_string(::getpid()) + "_" +
-                 std::to_string(counter.fetch_add(1)) + suffix);
+/// Undoes the entropy stage behind `tag`, returning the formatted
+/// payload (a view of `body`, or of `storage` when it had to be
+/// decoded). Throws FormatError for an unknown tag.
+std::span<const std::byte> entropy_decode(std::uint8_t tag, std::span<const std::byte> body,
+                                          Bytes& storage) {
+  switch (tag) {
+    case kTagNone:
+      return body;
+    case kTagZlib:
+      storage = zlib_decompress(body);
+      break;
+    case kTagGzip:
+      storage = gzip_decompress(body);
+      break;
+    case kTagHuffman:
+      storage = huffman_only_decompress(body);
+      break;
+    case kTagSharded:
+      storage = sharded_deflate_decompress(body);
+      break;
+    default:
+      throw FormatError("unknown entropy tag " + std::to_string(tag));
+  }
+  return storage;
 }
 
 }  // namespace
@@ -62,6 +54,9 @@ WaveletCompressor::WaveletCompressor(CompressionParams params) : params_(std::mo
   }
   if (params_.quantizer.divisions < 1 || params_.quantizer.divisions > 256) {
     throw InvalidArgumentError("quantizer divisions must be 1..256");
+  }
+  if (params_.threads < 0) {
+    throw InvalidArgumentError("threads must be >= 0, got " + std::to_string(params_.threads));
   }
 }
 
@@ -77,34 +72,28 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
   // --- "other": working copy of the input (the transform is in-place).
   NdArray<double> work;
   {
-    ScopedStage stage(out.times, "other");
+    WCK_STAGE("other", &out.times);
     work = input;
   }
 
   // --- Stage 1: wavelet transformation.
   const WaveletPlan plan = WaveletPlan::create(input.shape(), params_.wavelet_levels);
   {
-    WCK_TRACE_SPAN("wavelet");
-    ScopedStage stage(out.times, "wavelet");
+    WCK_STAGE("wavelet", &out.times);
     wavelet_forward(work.view(), params_.wavelet, params_.wavelet_levels);
   }
 
-  // --- Stages 2-4: quantization, encoding, formatting. The legacy
-  // "quantize_encode" StageTimes bucket (Fig. 9's granularity) is kept;
-  // telemetry additionally resolves the paper's separate quantize /
-  // encode stages.
+  // --- Stages 2-4: quantization, then encoding + formatting. Fig. 9's
+  // "quantization+encoding" is their sum.
   Bytes payload_bytes;
-  // Hoisted past the stage scope so an attached observer can inspect
+  // Hoisted past the stage scopes so an attached observer can inspect
   // them without perturbing the timed stages.
   std::vector<double> high;
   QuantizationScheme scheme;
   {
-    ScopedStage stage(out.times, "quantize_encode");
-
     LossyPayload p;
     {
-      WCK_TRACE_SPAN("quantize");
-      const WallTimer quantize_timer;
+      WCK_STAGE("quantize", &out.times);
       const simd::KernelTable& kern = simd::kernels();
       high.reserve(plan.high_count());
       for_each_high_band(work.view(), plan.final_low_extents(),
@@ -139,17 +128,12 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
           p.exact_values.push_back(high[i]);
         }
       }
-      WCK_HISTOGRAM_RECORD("stage.quantize.seconds", quantize_timer.seconds());
     }
     out.high_count = high.size();
     out.quantized_count = p.indices.size();
 
-    {
-      WCK_TRACE_SPAN("encode");
-      const WallTimer encode_timer;
-      payload_bytes = encode_payload(p);
-      WCK_HISTOGRAM_RECORD("stage.encode.seconds", encode_timer.seconds());
-    }
+    WCK_STAGE("encode", &out.times);
+    payload_bytes = encode_payload(p);
   }
   out.payload_bytes = payload_bytes.size();
 
@@ -157,87 +141,22 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
   // outside every timed stage.
   if (observer_ != nullptr) observer_->on_compress(input, plan, high, scheme);
 
-  // --- Stage 5: entropy coding of the formatted stream. The legacy
-  // "gzip" StageTimes slot is kept for Fig. 9; telemetry records the
-  // same interval as the paper's "deflate" stage.
-  switch (params_.entropy) {
-    case EntropyMode::kNone: {
-      out.data.push_back(static_cast<std::byte>(kTagNone));
-      out.data.insert(out.data.end(), payload_bytes.begin(), payload_bytes.end());
-      break;
+  // --- Stage 5: entropy coding of the formatted stream (Fig. 9's "gzip").
+  if (params_.entropy == EntropyMode::kNone) {
+    out.data.push_back(static_cast<std::byte>(kTagNone));
+    out.data.insert(out.data.end(), payload_bytes.begin(), payload_bytes.end());
+  } else {
+    const bool huffman = params_.entropy == EntropyMode::kHuffmanOnly;
+    Bytes body;
+    {
+      WCK_STAGE("deflate", &out.times);
+      body = huffman ? huffman_only_compress(payload_bytes)
+                     : sharded_deflate_compress(payload_bytes,
+                                                {params_.deflate_level, params_.deflate_block_size,
+                                                 resolve_deflate_threads(params_.threads)});
     }
-    case EntropyMode::kDeflate: {
-      const auto sharding = resolve_deflate_sharding(params_.threads);
-      Bytes body;
-      {
-        WCK_TRACE_SPAN("deflate");
-        ScopedStage stage(out.times, "gzip");
-        const WallTimer deflate_timer;
-        if (sharding) {
-          body = sharded_deflate_compress(
-              payload_bytes,
-              {params_.deflate_level, params_.deflate_block_size, *sharding});
-        } else {
-          body = zlib_compress(payload_bytes, DeflateOptions{params_.deflate_level});
-        }
-        WCK_HISTOGRAM_RECORD("stage.deflate.seconds", deflate_timer.seconds());
-      }
-      out.data.push_back(static_cast<std::byte>(sharding ? kTagSharded : kTagZlib));
-      out.data.insert(out.data.end(), body.begin(), body.end());
-      break;
-    }
-    case EntropyMode::kHuffmanOnly: {
-      Bytes body;
-      {
-        WCK_TRACE_SPAN("deflate");
-        ScopedStage stage(out.times, "gzip");  // reported in the same slot
-        const WallTimer deflate_timer;
-        body = huffman_only_compress(payload_bytes);
-        WCK_HISTOGRAM_RECORD("stage.deflate.seconds", deflate_timer.seconds());
-      }
-      out.data.push_back(static_cast<std::byte>(kTagHuffman));
-      out.data.insert(out.data.end(), body.begin(), body.end());
-      break;
-    }
-    case EntropyMode::kTempFileGzip: {
-      // Reproduces the paper's implementation: the formatted checkpoint
-      // is written to a temporary file, then gzip is applied through the
-      // file system (Sec. IV-D notes this dominates compression time).
-      const auto tmp = unique_temp_path(params_.temp_dir, ".wck");
-      const auto tmp_gz = unique_temp_path(params_.temp_dir, ".wck.gz");
-      {
-        WCK_TRACE_SPAN("temp_file_write");
-        ScopedStage stage(out.times, "temp_file_write");
-        write_file(tmp, payload_bytes);
-      }
-      // With sharding enabled the temp-file dance is kept (the write /
-      // read-back overhead is the point of this mode) but the on-disk
-      // compressed body is the block-parallel WCKP container, so the
-      // dominant "gzip" stage scales with threads.
-      const auto sharding = resolve_deflate_sharding(params_.threads);
-      Bytes body;
-      {
-        WCK_TRACE_SPAN("deflate");
-        ScopedStage stage(out.times, "gzip");
-        const WallTimer deflate_timer;
-        const Bytes on_disk = read_file(tmp);
-        if (sharding) {
-          body = sharded_deflate_compress(
-              on_disk, {params_.deflate_level, params_.deflate_block_size, *sharding});
-        } else {
-          body = gzip_compress(on_disk, DeflateOptions{params_.deflate_level});
-        }
-        write_file(tmp_gz, body);
-        body = read_file(tmp_gz);
-        WCK_HISTOGRAM_RECORD("stage.deflate.seconds", deflate_timer.seconds());
-      }
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      std::filesystem::remove(tmp_gz, ec);
-      out.data.push_back(static_cast<std::byte>(sharding ? kTagSharded : kTagGzip));
-      out.data.insert(out.data.end(), body.begin(), body.end());
-      break;
-    }
+    out.data.push_back(static_cast<std::byte>(huffman ? kTagHuffman : kTagSharded));
+    out.data.insert(out.data.end(), body.begin(), body.end());
   }
   WCK_COUNTER_ADD("compress.bytes_out", out.data.size());
   WCK_COUNTER_ADD("compress.payload_bytes", out.payload_bytes);
@@ -250,33 +169,8 @@ NdArray<double> WaveletCompressor::decompress(std::span<const std::byte> data) {
   WCK_COUNTER_ADD("decompress.calls", 1);
   WCK_COUNTER_ADD("decompress.bytes_in", data.size());
   const auto tag = static_cast<std::uint8_t>(data[0]);
-  const auto body = data.subspan(1);
-
-  Bytes payload_storage;
-  std::span<const std::byte> payload;
-  switch (tag) {
-    case kTagNone:
-      payload = body;
-      break;
-    case kTagZlib:
-      payload_storage = zlib_decompress(body);
-      payload = payload_storage;
-      break;
-    case kTagGzip:
-      payload_storage = gzip_decompress(body);
-      payload = payload_storage;
-      break;
-    case kTagHuffman:
-      payload_storage = huffman_only_decompress(body);
-      payload = payload_storage;
-      break;
-    case kTagSharded:
-      payload_storage = sharded_deflate_decompress(body);
-      payload = payload_storage;
-      break;
-    default:
-      throw FormatError("unknown entropy tag " + std::to_string(tag));
-  }
+  Bytes storage;
+  const std::span<const std::byte> payload = entropy_decode(tag, data.subspan(1), storage);
 
   const LossyPayload p = decode_payload(payload);
   const WaveletPlan plan = WaveletPlan::create(p.shape, p.levels);
@@ -315,33 +209,8 @@ NdArray<double> WaveletCompressor::decompress(std::span<const std::byte> data) {
 StreamInfo WaveletCompressor::inspect(std::span<const std::byte> data) {
   if (data.empty()) throw FormatError("empty compressed stream");
   const auto tag = static_cast<std::uint8_t>(data[0]);
-  const auto body = data.subspan(1);
-
-  Bytes payload_storage;
-  std::span<const std::byte> payload;
-  switch (tag) {
-    case kTagNone:
-      payload = body;
-      break;
-    case kTagZlib:
-      payload_storage = zlib_decompress(body);
-      payload = payload_storage;
-      break;
-    case kTagGzip:
-      payload_storage = gzip_decompress(body);
-      payload = payload_storage;
-      break;
-    case kTagHuffman:
-      payload_storage = huffman_only_decompress(body);
-      payload = payload_storage;
-      break;
-    case kTagSharded:
-      payload_storage = sharded_deflate_decompress(body);
-      payload = payload_storage;
-      break;
-    default:
-      throw FormatError("unknown entropy tag " + std::to_string(tag));
-  }
+  Bytes storage;
+  const std::span<const std::byte> payload = entropy_decode(tag, data.subspan(1), storage);
 
   const LossyPayload p = decode_payload(payload);
   StreamInfo info;

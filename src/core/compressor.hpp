@@ -7,13 +7,13 @@
 //   4. Output formatting w/ bitmap        (src/encode, Sec. III-D)
 //   5. gzip/deflate of the formatted data (src/deflate)
 //
-// Every stage is timed individually so benchmarks can reproduce the
-// paper's Fig. 9 cost breakdown (wavelet / quantization+encoding /
-// temporary-file write / gzip / other).
+// Every stage is timed once, as "other", "wavelet", "quantize", "encode"
+// and "deflate" (non-overlapping), so benchmarks can reproduce the
+// paper's Fig. 9 cost breakdown. The paper's temp-file gzip path lives
+// in the benches that reproduce it (bench/bench_common.hpp).
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <span>
 
 #include "deflate/parallel.hpp"
@@ -30,11 +30,9 @@ namespace wck {
 /// How the formatted payload is entropy-coded.
 enum class EntropyMode : std::uint8_t {
   kNone = 0,         ///< formatted payload only (ablation baseline)
-  kDeflate = 1,      ///< in-memory zlib-container deflate (the paper's
-                     ///< Sec. IV-D suggested improvement)
-  kTempFileGzip = 2, ///< write a temp file, gzip it through the
-                     ///< filesystem — the paper's actual implementation,
-                     ///< reproducing its "temporal file write" overhead
+  kDeflate = 1,      ///< in-memory deflate (the paper's Sec. IV-D
+                     ///< suggested improvement) in the WCKP block
+                     ///< container; one block when the payload fits
   kHuffmanOnly = 3,  ///< order-0 Huffman, no LZ77: several-fold faster
                      ///< than deflate at a small ratio cost (the paper's
                      ///< "other compression methods" future work)
@@ -48,18 +46,13 @@ struct CompressionParams {
   WaveletKind wavelet = WaveletKind::kHaar;
   EntropyMode entropy = EntropyMode::kDeflate;
   int deflate_level = 6;
-  /// Entropy-stage parallelism. 0 (default) defers to the WCK_THREADS
-  /// environment variable — unset means the legacy single-stream
-  /// container, so existing streams, benches and tests are unaffected.
-  /// >= 1 selects the sharded WCKP container with that many workers
-  /// (1 = sharded but compressed inline); < 0 forces the legacy serial
-  /// container regardless of environment. The sharded bytes depend only
-  /// on (payload, deflate_block_size), never on the worker count.
+  /// Entropy-stage worker count; never changes the output bytes, which
+  /// depend only on (payload, deflate_block_size). 0 (default) reads
+  /// WCK_THREADS, one worker when it is unset; N >= 1 uses N workers
+  /// (1 compresses inline). Negative values are rejected.
   int threads = 0;
-  /// Uncompressed bytes per shard when the sharded container is used.
+  /// Uncompressed bytes per WCKP block.
   std::size_t deflate_block_size = kDefaultDeflateBlockSize;
-  /// Directory for kTempFileGzip scratch files (default: system temp).
-  std::filesystem::path temp_dir{};
 };
 
 /// Result of compressing one array.
@@ -69,8 +62,8 @@ struct CompressedArray {
   std::size_t payload_bytes = 0;   ///< formatted size before entropy stage
   std::size_t high_count = 0;      ///< high-band elements
   std::size_t quantized_count = 0; ///< of which quantized to indexes
-  StageTimes times;                ///< "wavelet", "quantize_encode",
-                                   ///< "temp_file_write", "gzip", "other"
+  StageTimes times;                ///< "other", "wavelet", "quantize",
+                                   ///< "encode", "deflate"
 
   /// Eq. 5 (percent; lower is better).
   [[nodiscard]] double compression_rate_percent() const noexcept {
@@ -104,8 +97,8 @@ struct StreamInfo {
   int levels = 0;
   WaveletKind wavelet = WaveletKind::kHaar;
   QuantizerKind quantizer = QuantizerKind::kSpike;
-  std::uint8_t entropy_tag = 0;      ///< kNone/kDeflate/kTempFileGzip/kHuffmanOnly
-                                     ///< order; 4 = sharded parallel deflate
+  std::uint8_t entropy_tag = 0;      ///< 0 none, 3 Huffman-only, 4 WCKP deflate;
+                                     ///< 1 zlib / 2 gzip are read-only legacy
   std::size_t averages_count = 0;    ///< quantization table size (== effective n)
   std::size_t high_count = 0;        ///< high-band elements (bitmap size)
   std::size_t quantized_count = 0;   ///< of which stored as 1-byte indexes
@@ -119,6 +112,7 @@ struct StreamInfo {
 /// if compress runs concurrently).
 class WaveletCompressor {
  public:
+  /// Throws InvalidArgumentError on out-of-range parameters.
   explicit WaveletCompressor(CompressionParams params = {});
 
   [[nodiscard]] const CompressionParams& params() const noexcept { return params_; }

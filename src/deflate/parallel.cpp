@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,9 +58,12 @@ ThreadPool& shared_pool() {
 /// the pool size, which is what makes WCK_THREADS=1 vs =8 a pure
 /// wall-clock knob. Strip tasks never submit further pool work, so a
 /// caller already running on some *other* pool cannot deadlock here.
+/// Inline work never touches the pool, so a process that only ever
+/// compresses inline never builds it.
 template <typename Fn>
 void for_each_block(std::size_t n, std::size_t threads, const Fn& fn) {
-  const std::size_t strips = std::min({threads, n, shared_pool().thread_count()});
+  const std::size_t strips =
+      threads <= 1 || n <= 1 ? 1 : std::min({threads, n, shared_pool().thread_count()});
   if (strips <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
@@ -125,7 +129,7 @@ Bytes sharded_deflate_compress(std::span<const std::byte> input,
         timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
     crcs[i] = crc32(chunk);
     bodies[i] = deflate_compress(chunk, block_options);
-    if (timed) WCK_HISTOGRAM_RECORD("stage.deflate.block.seconds", seconds_since(start));
+    if (timed) WCK_HISTOGRAM_RECORD("deflate.block.seconds", seconds_since(start));
   });
 
   ByteWriter writer;
@@ -219,9 +223,7 @@ Bytes sharded_deflate_decompress(std::span<const std::byte> input, std::size_t t
   }
   const auto bodies = reader.raw(static_cast<std::size_t>(compressed_total));
 
-  if (threads == 0) {
-    threads = resolve_deflate_sharding(0).value_or(1);
-  }
+  if (threads == 0) threads = resolve_deflate_threads(0);
   WCK_COUNTER_ADD("deflate.blocks", table.size());
   WCK_GAUGE_SET("deflate.threads", static_cast<double>(std::max<std::size_t>(threads, 1)));
 
@@ -245,7 +247,7 @@ Bytes sharded_deflate_decompress(std::span<const std::byte> input, std::size_t t
       std::memcpy(out.data() + i * static_cast<std::size_t>(block_size), block.data(),
                   block.size());
     }
-    if (timed) WCK_HISTOGRAM_RECORD("stage.deflate.block.seconds", seconds_since(start));
+    if (timed) WCK_HISTOGRAM_RECORD("deflate.block.seconds", seconds_since(start));
   });
   return out;
 }
@@ -259,11 +261,13 @@ bool is_sharded_deflate(std::span<const std::byte> data) noexcept {
   return magic == kShardedMagic;
 }
 
-std::optional<std::size_t> resolve_deflate_sharding(int requested) {
+std::size_t resolve_deflate_threads(int requested) {
+  if (requested < 0) {
+    throw InvalidArgumentError("deflate threads must be >= 0, got " + std::to_string(requested));
+  }
   if (requested > 0) return static_cast<std::size_t>(requested);
-  if (requested < 0) return std::nullopt;
   const std::optional<std::string> env = env::get("WCK_THREADS");
-  if (!env.has_value() || env->empty()) return std::nullopt;
+  if (!env.has_value() || env->empty()) return 1;
   const std::string& value = *env;
   auto hardware = [] {
     const unsigned n = std::thread::hardware_concurrency();
@@ -273,7 +277,8 @@ std::optional<std::size_t> resolve_deflate_sharding(int requested) {
   char* end = nullptr;
   const long parsed = std::strtol(value.c_str(), &end, 10);
   if (end == value.c_str() || *end != '\0' || parsed < 0) {
-    return std::nullopt;  // unparsable -> behave as unset (legacy serial)
+    throw InvalidArgumentError("WCK_THREADS=\"" + value +
+                               "\" is not a worker count (use a non-negative integer or max)");
   }
   if (parsed == 0) return hardware();
   return static_cast<std::size_t>(parsed);

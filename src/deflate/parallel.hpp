@@ -14,7 +14,10 @@
 // Determinism guarantee: for a given (input, block_size) the container
 // bytes are identical at ANY thread count, because block boundaries
 // depend only on block_size and every block is compressed by the same
-// serial per-block encoder. Thread count affects wall-clock only.
+// serial per-block encoder. Thread count affects wall-clock only. This
+// is the only container WaveletCompressor writes for
+// EntropyMode::kDeflate (entropy tag 4), so a payload that fits in one
+// block is simply a one-block container.
 //
 // Container layout (all integers little-endian, varint = LEB128):
 //
@@ -38,7 +41,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 
 #include "util/bytes.hpp"
@@ -71,7 +73,7 @@ struct ShardedDeflateOptions {
                                              const ShardedDeflateOptions& options = {});
 
 /// Decompresses a WCKP container, decoding blocks concurrently when
-/// `threads` > 1 (0 = resolve from WCK_THREADS, serial when unset).
+/// `threads` > 1 (0 = resolve_deflate_threads(0)).
 /// Throws FormatError on malformed framing and CorruptDataError when a
 /// block fails its CRC-32 or size check.
 [[nodiscard]] Bytes sharded_deflate_decompress(std::span<const std::byte> input,
@@ -80,16 +82,13 @@ struct ShardedDeflateOptions {
 /// True when `data` starts with the WCKP magic (cheap container sniff).
 [[nodiscard]] bool is_sharded_deflate(std::span<const std::byte> data) noexcept;
 
-/// Resolves a CompressionParams/CLI-style thread request to an effective
-/// sharding decision:
-///   requested >= 1  -> shard with that many workers (1 = inline serial,
-///                      still the WCKP container)
-///   requested == 0  -> consult WCK_THREADS: unset/empty/unparsable means
-///                      "no sharding" (nullopt -> the legacy serial
-///                      container); "0" or "max" means hardware
-///                      concurrency; any positive integer is taken as-is
-///   requested < 0   -> no sharding (explicit legacy opt-out)
-/// nullopt therefore means "keep the pre-sharding serial code path".
-[[nodiscard]] std::optional<std::size_t> resolve_deflate_sharding(int requested);
+/// Resolves a CompressionParams/CLI-style worker request to a count:
+///   requested >= 1  -> that many workers (1 = inline on the caller)
+///   requested == 0  -> WCK_THREADS: unset or empty means 1; "0" or
+///                      "max" means hardware concurrency; any positive
+///                      integer is taken as-is
+/// Throws InvalidArgumentError for a negative request or a WCK_THREADS
+/// value that is none of the above. The count never changes the bytes.
+[[nodiscard]] std::size_t resolve_deflate_threads(int requested);
 
 }  // namespace wck

@@ -3,8 +3,9 @@
 //
 //   WCK_COUNTER_ADD("ckpt.crc_failures", 1);
 //   WCK_GAUGE_SET("ckpt.async.queue_depth", depth);
-//   WCK_HISTOGRAM_RECORD("stage.wavelet.seconds", dt);
-//   WCK_TRACE_SPAN("wavelet");           // RAII scope span
+//   WCK_HISTOGRAM_RECORD("deflate.block.seconds", dt);
+//   WCK_TRACE_SPAN("compress");          // RAII scope span
+//   WCK_STAGE("wavelet", &times);        // pipeline stage (util/timer.hpp)
 //   WCK_EVENT(kCkptCommit, step, "gen ckpt.7.wck");  // flight recorder
 //
 // Everything is process-global, thread-safe, and disabled as a whole by

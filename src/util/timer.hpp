@@ -2,18 +2,20 @@
 // compression pipeline's per-stage instrumentation (paper Fig. 9 reports
 // a stage-by-stage breakdown of compression time).
 //
-// StageTimes is a thin adapter over the telemetry subsystem: every
-// add() also records into the global "stage.<name>.seconds" histogram,
-// so RunReport / BENCH_*.json see the same per-stage numbers without
-// any bench-side plumbing. The local map is kept so existing call sites
-// (cost model, fig harnesses) need no signature changes.
+// Stage is the one primitive that times a pipeline stage: a single pair
+// of clock reads per scope feeds the trace span, the stage's
+// "stage.<name>.seconds" histogram (which RunReport turns into
+// stages_seconds) and, when given one, a StageTimes. StageTimes itself
+// is a plain accumulator and writes no telemetry.
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <string>
 
 #include "telemetry/metrics.hpp"
+#include "telemetry/trace.hpp"
 
 namespace wck {
 
@@ -37,19 +39,7 @@ class WallTimer {
 /// Accumulates named stage durations, e.g. {"wavelet": 1.2e-3, ...}.
 class StageTimes {
  public:
-  void add(const std::string& stage, double seconds) {
-    seconds_[stage] += seconds;
-    if (telemetry::enabled()) {
-      telemetry::MetricsRegistry::global()
-          .histogram("stage." + stage + ".seconds")
-          .record(seconds);
-    }
-  }
-
-  /// Accumulates without recording into telemetry — for derived values
-  /// (averages, model outputs) that are not fresh measurements and must
-  /// not contaminate the stage histograms.
-  void add_local(const std::string& stage, double seconds) { seconds_[stage] += seconds; }
+  void add(const std::string& stage, double seconds) { seconds_[stage] += seconds; }
 
   [[nodiscard]] double get(const std::string& stage) const noexcept {
     const auto it = seconds_.find(stage);
@@ -66,9 +56,7 @@ class StageTimes {
     return seconds_;
   }
 
-  /// Merges another accumulation into this one. Merging does not
-  /// re-record into telemetry: the source StageTimes already did when
-  /// its entries were add()ed.
+  /// Merges another accumulation into this one.
   void merge(const StageTimes& other) {
     for (const auto& [k, v] : other.by_stage()) seconds_[k] += v;
   }
@@ -79,20 +67,39 @@ class StageTimes {
   std::map<std::string, double> seconds_;
 };
 
-/// RAII helper: measures a scope and adds it to a StageTimes entry.
-class ScopedStage {
+/// RAII stage timer. Reads the clock once on entry and once on exit;
+/// that interval is recorded into `times` (when non-null) and, when
+/// `histogram` is non-null (telemetry on), into it and as a trace span.
+/// Use it through WCK_STAGE, which resolves the histogram once per call
+/// site.
+class Stage {
  public:
-  ScopedStage(StageTimes& times, std::string stage)
-      : times_(times), stage_(std::move(stage)) {}
-  ~ScopedStage() { times_.add(stage_, timer_.seconds()); }
+  Stage(const char* name, telemetry::Histogram* histogram, StageTimes* times);
+  ~Stage();
 
-  ScopedStage(const ScopedStage&) = delete;
-  ScopedStage& operator=(const ScopedStage&) = delete;
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
 
  private:
-  StageTimes& times_;
-  std::string stage_;
-  WallTimer timer_;
+  const char* name_;
+  telemetry::Histogram* histogram_;
+  StageTimes* times_;
+  std::uint32_t depth_ = 0;
+  double start_us_ = 0.0;
 };
 
 }  // namespace wck
+
+/// Times the enclosing scope as stage `name` (a string literal) into
+/// the "stage.<name>.seconds" histogram, a trace span and the
+/// StageTimes* `times` (may be nullptr).
+#define WCK_STAGE(name, times)                                                                \
+  ::wck::Stage WCK_TRACE_CONCAT(wck_stage_, __LINE__)(                                        \
+      name,                                                                                   \
+      ::wck::telemetry::enabled() ? &[]() -> ::wck::telemetry::Histogram& {                   \
+        static ::wck::telemetry::Histogram& wck_hist_ =                                       \
+            ::wck::telemetry::MetricsRegistry::global().histogram("stage." name ".seconds");  \
+        return wck_hist_;                                                                     \
+      }()                                                                                     \
+                                  : nullptr,                                                  \
+      times)

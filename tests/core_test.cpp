@@ -2,11 +2,15 @@
 // wavelet -> quantization -> encoding -> formatting -> deflate.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/compressor.hpp"
 #include "core/synthetic.hpp"
 #include "deflate/deflate.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "wavelet/haar.hpp"
 
@@ -91,7 +95,7 @@ TEST(Compressor, SpikeQuantizerCostsModestlyMoreSpace) {
 TEST(Compressor, AllEntropyModesRoundTrip) {
   const auto field = make_smooth_field(Shape{32, 32}, 6);
   for (const auto mode :
-       {EntropyMode::kNone, EntropyMode::kDeflate, EntropyMode::kTempFileGzip}) {
+       {EntropyMode::kNone, EntropyMode::kDeflate, EntropyMode::kHuffmanOnly}) {
     const WaveletCompressor c(spike_params(64, mode));
     const auto rt = c.round_trip(field);
     EXPECT_EQ(rt.reconstructed.shape(), field.shape());
@@ -144,12 +148,44 @@ TEST(Compressor, StageTimesCoverPipeline) {
   const auto field = make_smooth_field(Shape{128, 128}, 12);
   const auto comp = WaveletCompressor(spike_params(128)).compress(field);
   EXPECT_GT(comp.times.get("wavelet"), 0.0);
-  EXPECT_GT(comp.times.get("quantize_encode"), 0.0);
-  EXPECT_GT(comp.times.get("gzip"), 0.0);
+  EXPECT_GT(comp.times.get("quantize"), 0.0);
+  EXPECT_GT(comp.times.get("encode"), 0.0);
+  EXPECT_GT(comp.times.get("deflate"), 0.0);
 
-  const auto tmpfile =
-      WaveletCompressor(spike_params(128, EntropyMode::kTempFileGzip)).compress(field);
-  EXPECT_GT(tmpfile.times.get("temp_file_write"), 0.0);
+  const auto none = WaveletCompressor(spike_params(128, EntropyMode::kNone)).compress(field);
+  EXPECT_EQ(none.times.by_stage().count("deflate"), 0u);
+}
+
+TEST(Compressor, OneStagePerKeyAndStagesFitInWallTime) {
+  // Each stage is timed exactly once, the five stages do not overlap,
+  // and no alias key ("gzip", "quantize_encode") is recorded.
+  telemetry::set_enabled(true);
+  auto& registry = telemetry::MetricsRegistry::global();
+  registry.reset();
+  const auto field = make_smooth_field(Shape{128, 128}, 12);
+  const WaveletCompressor compressor(spike_params(128));
+  const auto start = std::chrono::steady_clock::now();
+  const auto comp = compressor.compress(field);
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+
+  std::vector<std::string> keys;
+  for (const auto& [key, seconds] : comp.times.by_stage()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"deflate", "encode", "other", "quantize",
+                                            "wavelet"}));
+  EXPECT_LE(comp.times.total(), wall);
+
+  const auto snapshot = registry.snapshot();
+  std::vector<std::string> stage_histograms;
+  for (const auto& [name, h] : snapshot.histograms) {
+    if (name.rfind("stage.", 0) != 0 || h.count == 0) continue;
+    stage_histograms.push_back(name);
+    EXPECT_EQ(h.count, 1u) << name;
+  }
+  EXPECT_EQ(stage_histograms,
+            (std::vector<std::string>{"stage.deflate.seconds", "stage.encode.seconds",
+                                      "stage.other.seconds", "stage.quantize.seconds",
+                                      "stage.wavelet.seconds"}));
 }
 
 TEST(Compressor, DiagnosticsConsistent) {

@@ -1,15 +1,18 @@
 // Tests for the sharded parallel deflate engine (src/deflate/parallel):
 // round trips, bit-determinism across thread counts, frame-format
 // robustness (truncation, CRC corruption, implausible headers), and the
-// compressor integration (tag-4 streams, WCK_THREADS resolution, size
-// parity with the serial container).
+// compressor integration (tag-4 streams whatever the worker count,
+// WCK_THREADS resolution, size parity with zlib, legacy tags 1/2 still
+// decoding).
 #include "deflate/parallel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/chunked.hpp"
@@ -179,116 +182,149 @@ TEST(ShardedDeflate, RejectsTrailingBytes) {
   EXPECT_THROW((void)sharded_deflate_decompress(packed), FormatError);
 }
 
-TEST(ResolveDeflateSharding, ExplicitRequestWins) {
+TEST(ResolveDeflateThreads, ExplicitRequestWins) {
   const ScopedEnv env("WCK_THREADS", "8");
-  EXPECT_EQ(resolve_deflate_sharding(3), std::size_t{3});
-  EXPECT_EQ(resolve_deflate_sharding(1), std::size_t{1});
-  EXPECT_EQ(resolve_deflate_sharding(-1), std::nullopt);  // explicit opt-out
+  EXPECT_EQ(resolve_deflate_threads(3), std::size_t{3});
+  EXPECT_EQ(resolve_deflate_threads(1), std::size_t{1});
+  EXPECT_THROW((void)resolve_deflate_threads(-1), InvalidArgumentError);
 }
 
-TEST(ResolveDeflateSharding, EnvControlsDefault) {
+TEST(ResolveDeflateThreads, EnvControlsDefault) {
   {
     const ScopedEnv env("WCK_THREADS", nullptr);
-    EXPECT_EQ(resolve_deflate_sharding(0), std::nullopt);
+    EXPECT_EQ(resolve_deflate_threads(0), std::size_t{1});
   }
   {
     const ScopedEnv env("WCK_THREADS", "");
-    EXPECT_EQ(resolve_deflate_sharding(0), std::nullopt);
+    EXPECT_EQ(resolve_deflate_threads(0), std::size_t{1});
   }
   {
     const ScopedEnv env("WCK_THREADS", "4");
-    EXPECT_EQ(resolve_deflate_sharding(0), std::size_t{4});
-  }
-  {
-    const ScopedEnv env("WCK_THREADS", "nonsense");
-    EXPECT_EQ(resolve_deflate_sharding(0), std::nullopt);
+    EXPECT_EQ(resolve_deflate_threads(0), std::size_t{4});
   }
   {
     const ScopedEnv env("WCK_THREADS", "max");
-    const auto resolved = resolve_deflate_sharding(0);
-    ASSERT_TRUE(resolved.has_value());
-    EXPECT_GE(*resolved, std::size_t{1});
+    EXPECT_GE(resolve_deflate_threads(0), std::size_t{1});
   }
 }
 
-TEST(CompressorSharded, RoundTripsWithTag4) {
+TEST(ResolveDeflateThreads, UnparsableEnvThrowsNamingTheValue) {
+  for (const char* value : {"nonsense", "-2", "4x"}) {
+    const ScopedEnv env("WCK_THREADS", value);
+    try {
+      (void)resolve_deflate_threads(0);
+      ADD_FAILURE() << "WCK_THREADS=" << value << " was accepted";
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find(value), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(CompressorSharded, NegativeThreadsRejected) {
+  CompressionParams p;
+  p.threads = -1;
+  EXPECT_THROW(WaveletCompressor{p}, InvalidArgumentError);
+}
+
+TEST(CompressorSharded, MultiBlockRoundTripsWithTag4) {
   const NdArray<double> field = make_temperature_field(Shape{64, 48}, 5);
   CompressionParams p;
   p.threads = 2;
   p.deflate_block_size = 4096;  // small enough for several blocks
   const WaveletCompressor compressor(p);
   const CompressedArray comp = compressor.compress(field);
-  EXPECT_EQ(static_cast<std::uint8_t>(comp.data[0]), 4);  // kTagSharded
+  EXPECT_EQ(static_cast<std::uint8_t>(comp.data[0]), 4);  // WCKP
   EXPECT_EQ(WaveletCompressor::inspect(comp.data).entropy_tag, 4);
 
+  // Restore must be bit-identical to the unentropy-coded stream's:
+  // the container only changes the lossless stage.
+  CompressionParams none = p;
+  none.entropy = EntropyMode::kNone;
   const NdArray<double> restored = WaveletCompressor::decompress(comp.data);
-  // Restore must be bit-identical to the serial container's restore:
-  // sharding only changes the lossless stage.
-  CompressionParams serial = p;
-  serial.threads = -1;
-  const WaveletCompressor serial_compressor(serial);
-  const CompressedArray serial_comp = serial_compressor.compress(field);
-  EXPECT_EQ(static_cast<std::uint8_t>(serial_comp.data[0]), 1);  // kTagZlib
-  const NdArray<double> serial_restored = WaveletCompressor::decompress(serial_comp.data);
-  ASSERT_EQ(restored.shape(), serial_restored.shape());
+  const NdArray<double> reference =
+      WaveletCompressor::decompress(WaveletCompressor(none).compress(field).data);
+  ASSERT_EQ(restored.shape(), reference.shape());
   EXPECT_TRUE(std::equal(restored.values().begin(), restored.values().end(),
-                         serial_restored.values().begin()));
-
-  // And the sharded stream must stay within 2% of the serial one.
-  EXPECT_LE(static_cast<double>(comp.data.size()),
-            static_cast<double>(serial_comp.data.size()) * 1.02);
+                         reference.values().begin()));
 }
 
-TEST(CompressorSharded, TempFileGzipModeShards) {
-  const NdArray<double> field = make_temperature_field(Shape{48, 32}, 9);
-  CompressionParams p;
-  p.entropy = EntropyMode::kTempFileGzip;
-  p.threads = 2;
-  p.deflate_block_size = 4096;
-  const WaveletCompressor compressor(p);
-  const CompressedArray comp = compressor.compress(field);
-  EXPECT_EQ(static_cast<std::uint8_t>(comp.data[0]), 4);
-  const NdArray<double> restored = WaveletCompressor::decompress(comp.data);
-  EXPECT_EQ(restored.shape(), field.shape());
-}
-
-TEST(CompressorSharded, IdenticalStreamsForAnyWckThreadsValue) {
-  // WCK_THREADS only picks the worker count; every explicit setting must
-  // produce byte-identical compressed streams (the acceptance criterion
-  // that lets soak/fuzz/regression infra run under any matrix leg).
+TEST(CompressorSharded, DefaultStreamIsOneWckpBlockNearZlibSize) {
+  // The default block size holds this payload whole: one block, and
+  // within 2% of a single zlib stream of the same payload.
   const NdArray<double> field = make_temperature_field(Shape{96, 64}, 3);
-  CompressionParams p;  // threads = 0: defer to environment
-  p.deflate_block_size = 8192;
+  CompressionParams none;
+  none.entropy = EntropyMode::kNone;
+  const CompressedArray formatted = WaveletCompressor(none).compress(field);
+  ASSERT_LT(formatted.payload_bytes, kDefaultDeflateBlockSize);
+  const CompressedArray comp = WaveletCompressor{}.compress(field);
+  ASSERT_EQ(static_cast<std::uint8_t>(comp.data[0]), 4);
+  const auto body = std::span<const std::byte>(comp.data).subspan(1);
+  ByteReader r(body);
+  (void)r.u32();  // magic
+  (void)r.u8();   // version
+  (void)r.u8();   // flags
+  (void)r.varint();  // block size
+  (void)r.varint();  // total
+  EXPECT_EQ(r.varint(), 1u);  // block count
+  const Bytes zlib = zlib_compress(std::span<const std::byte>(formatted.data).subspan(1));
+  EXPECT_LE(static_cast<double>(comp.data.size()), static_cast<double>(zlib.size() + 1) * 1.02);
+}
+
+TEST(CompressorSharded, IdenticalStreamsForAnyThreadSetting) {
+  // Neither WCK_THREADS nor CompressionParams::threads may change the
+  // bytes: both only pick the worker count. Default params on the
+  // paper's 1156x82x2 field give a multi-block payload (~545 KB).
+  const NdArray<double> field = make_temperature_field(Shape{1156, 82, 2}, 3);
+  const CompressionParams p;  // threads = 0: defer to environment
   std::vector<Bytes> streams;
-  for (const char* value : {"1", "2", "8"}) {
+  for (const char* value : {static_cast<const char*>(nullptr), "1", "2", "max"}) {
     const ScopedEnv env("WCK_THREADS", value);
-    const WaveletCompressor compressor(p);
-    streams.push_back(compressor.compress(field).data);
-    EXPECT_EQ(static_cast<std::uint8_t>(streams.back()[0]), 4) << "WCK_THREADS=" << value;
+    streams.push_back(WaveletCompressor(p).compress(field).data);
   }
-  EXPECT_EQ(streams[0], streams[1]);
-  EXPECT_EQ(streams[0], streams[2]);
+  for (int threads = 1; threads <= 4; ++threads) {
+    CompressionParams q = p;
+    q.threads = threads;
+    streams.push_back(WaveletCompressor(q).compress(field).data);
+  }
+  EXPECT_EQ(static_cast<std::uint8_t>(streams[0][0]), 4);
+  for (std::size_t i = 1; i < streams.size(); ++i) {
+    EXPECT_EQ(streams[i], streams[0]) << "setting #" << i;
+  }
 }
 
-TEST(CompressorSharded, UnsetEnvKeepsLegacySerialContainer) {
-  const ScopedEnv env("WCK_THREADS", nullptr);
-  const NdArray<double> field = make_temperature_field(Shape{32, 32}, 1);
-  const WaveletCompressor compressor{CompressionParams{}};
-  const CompressedArray comp = compressor.compress(field);
-  EXPECT_EQ(static_cast<std::uint8_t>(comp.data[0]), 1);  // legacy kTagZlib
-}
-
-TEST(CompressorSharded, LegacySerialStreamStillDecodes) {
-  // Old-container round-trip through the new decode path: streams
-  // written before (or without) sharding must keep restoring.
+TEST(CompressorSharded, LegacyZlibAndGzipStreamsStillDecode) {
+  // Tags 1 (zlib) and 2 (gzip) are no longer written, but streams from
+  // older store generations must restore and inspect exactly like the
+  // formatted payload they wrap.
   const NdArray<double> field = make_temperature_field(Shape{40, 24}, 2);
-  CompressionParams serial;
-  serial.threads = -1;
-  const WaveletCompressor compressor(serial);
-  const CompressedArray comp = compressor.compress(field);
-  const NdArray<double> restored = WaveletCompressor::decompress(comp.data);
-  EXPECT_EQ(restored.shape(), field.shape());
-  EXPECT_EQ(WaveletCompressor::inspect(comp.data).entropy_tag, 1);
+  CompressionParams none;
+  none.entropy = EntropyMode::kNone;
+  const Bytes plain = WaveletCompressor(none).compress(field).data;
+  const auto payload = std::span<const std::byte>(plain).subspan(1);
+  const NdArray<double> expected = WaveletCompressor::decompress(plain);
+  const StreamInfo expected_info = WaveletCompressor::inspect(plain);
+
+  const std::pair<std::uint8_t, Bytes> legacy[] = {{1, zlib_compress(payload)},
+                                                   {2, gzip_compress(payload)}};
+  for (const auto& [tag, body] : legacy) {
+    Bytes stream{static_cast<std::byte>(tag)};
+    stream.insert(stream.end(), body.begin(), body.end());
+    const NdArray<double> restored = WaveletCompressor::decompress(stream);
+    ASSERT_EQ(restored.shape(), expected.shape()) << "tag " << int{tag};
+    EXPECT_TRUE(std::equal(restored.values().begin(), restored.values().end(),
+                           expected.values().begin()))
+        << "tag " << int{tag};
+    const StreamInfo info = WaveletCompressor::inspect(stream);
+    EXPECT_EQ(info.entropy_tag, tag);
+    EXPECT_EQ(info.shape, expected_info.shape);
+    EXPECT_EQ(info.levels, expected_info.levels);
+    EXPECT_EQ(info.quantizer, expected_info.quantizer);
+    EXPECT_EQ(info.averages_count, expected_info.averages_count);
+    EXPECT_EQ(info.high_count, expected_info.high_count);
+    EXPECT_EQ(info.quantized_count, expected_info.quantized_count);
+    EXPECT_EQ(info.exact_count, expected_info.exact_count);
+    EXPECT_EQ(info.payload_bytes, expected_info.payload_bytes);
+  }
 }
 
 TEST(CompressorSharded, ChunkedComposesWithSharding) {
@@ -299,7 +335,7 @@ TEST(CompressorSharded, ChunkedComposesWithSharding) {
   ThreadPool pool(2);
   ChunkedParams params;
   params.chunks = 4;
-  params.threads = 2;
+  params.base.threads = 2;
   params.base.deflate_block_size = 2048;
   const CompressedArray a = chunked_compress(field, params, &pool);
   const CompressedArray b = chunked_compress(field, params, nullptr);

@@ -74,23 +74,6 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(1, 2),
         ::testing::Values(1, 128)));
 
-// The temp-file path is slower; cover it separately with one config per
-// quantizer instead of the full cross product.
-class TempFileSweep : public ::testing::TestWithParam<QuantizerKind> {};
-
-TEST_P(TempFileSweep, RoundTripThroughFilesystem) {
-  CompressionParams p;
-  p.quantizer.kind = GetParam();
-  p.quantizer.divisions = 64;
-  p.entropy = EntropyMode::kTempFileGzip;
-  const auto field = make_temperature_field(Shape{40, 20, 2}, 14);
-  const auto rt = WaveletCompressor(p).round_trip(field);
-  EXPECT_LT(rt.error.mean_rel_percent(), 5.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Quantizers, TempFileSweep,
-                         ::testing::Values(QuantizerKind::kSimple, QuantizerKind::kSpike));
-
 // Shape edge-case sweep: every rank, odd extents, degenerate axes.
 class ShapeSweep : public ::testing::TestWithParam<Shape> {};
 

@@ -306,14 +306,31 @@ TEST(StageTimes, AccumulatesAndMerges) {
   EXPECT_DOUBLE_EQ(t.get("gzip"), 3.0);
 }
 
-TEST(ScopedStageTimer, MeasuresScope) {
+TEST(StageTimer, MeasuresScopeOnce) {
+  telemetry::set_enabled(true);
+  auto& hist = telemetry::MetricsRegistry::global().histogram("stage.work.seconds");
+  hist.reset();
   StageTimes t;
   {
-    ScopedStage s(t, "work");
+    WCK_STAGE("work", &t);
     volatile double x = 0;
     for (int i = 0; i < 100000; ++i) x = x + 1.0;
   }
   EXPECT_GT(t.get("work"), 0.0);
+  // One interval feeds both sinks.
+  EXPECT_EQ(hist.count(), 1u);
+  EXPECT_DOUBLE_EQ(hist.sum(), t.get("work"));
+  { WCK_STAGE("work", nullptr); }  // a null StageTimes still records telemetry
+  EXPECT_EQ(hist.count(), 2u);
+}
+
+TEST(StageTimer, StageTimesAddWritesNoTelemetry) {
+  telemetry::set_enabled(true);
+  auto& hist = telemetry::MetricsRegistry::global().histogram("stage.scaled.seconds");
+  hist.reset();
+  StageTimes t;
+  t.add("scaled", 1.0);
+  EXPECT_EQ(hist.count(), 0u);
 }
 
 TEST(Backoff, LadderDoublesAndCaps) {

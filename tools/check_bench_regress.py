@@ -12,7 +12,8 @@ parameters:
   stage times (loose, default 10x): each stages_seconds entry must not
       exceed baseline * multiplier. CI machines vary wildly, so this only
       catches order-of-magnitude blowups (an accidentally quadratic
-      stage), not honest noise.
+      stage), not honest noise. A baseline stage missing from the fresh
+      record is a failure: a renamed stage must re-record the baseline.
 
 Records match by their "bench" field; a fresh record whose bench name is
 missing from the baseline set is an error (the gate must never silently
@@ -133,8 +134,12 @@ class Gate:
         base_stages = base_report.get("stages_seconds", {})
         fresh_stages = fresh_report.get("stages_seconds", {})
         for stage, base_time in base_stages.items():
-            if stage in fresh_stages:
-                self.check_time(name, stage, fresh_stages[stage], base_time)
+            if stage not in fresh_stages:
+                self.checks += 1
+                self.fail(f"{name}: stage '{stage}' is in the baseline but missing "
+                          "from the fresh record; re-record the baseline if it was renamed")
+                continue
+            self.check_time(name, stage, fresh_stages[stage], base_time)
 
     def check_sharded_drift(self, name, record):
         """Self-baselining check for records carrying serial/sharded sizes.

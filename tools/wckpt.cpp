@@ -4,11 +4,12 @@
 //   gen        --shape=AxBxC --out=FILE [--seed=N] [--kind=temperature|smooth|random]
 //              Writes a deterministic synthetic field as raw little-endian doubles.
 //   compress   --in=FILE --shape=AxBxC --out=FILE [--quantizer=spike|simple]
-//              [--n=128] [--d=64] [--levels=1] [--entropy=deflate|gzip-file|none]
+//              [--n=128] [--d=64] [--levels=1] [--entropy=deflate|none]
 //              [--threads=N] [--block-size=BYTES]
 //              Compresses a raw double file with the paper's pipeline.
-//              --threads >= 1 (or WCK_THREADS set) selects the sharded
-//              parallel deflate container; see src/deflate/parallel.hpp.
+//              --threads (default: WCK_THREADS, else 1) sets the deflate
+//              worker count and never the bytes; --block-size sets the
+//              WCKP block size. See src/deflate/parallel.hpp.
 //   decompress --in=FILE --out=FILE
 //              Restores raw doubles from a compressed stream.
 //   info       --in=FILE
@@ -58,6 +59,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -86,7 +88,7 @@ constexpr const char kUsageText[] =
     "usage: wckpt <command> [--key=value ...]\n"
     "  gen        --shape=AxBxC --out=FILE [--seed=N] [--kind=temperature]\n"
     "  compress   --in=FILE --shape=AxBxC --out=FILE [--quantizer=spike|simple]\n"
-    "             [--n=128] [--d=64] [--levels=1] [--entropy=deflate|gzip-file|none]\n"
+    "             [--n=128] [--d=64] [--levels=1] [--entropy=deflate|none]\n"
     "             [--threads=N] [--block-size=BYTES]\n"
     "  decompress --in=FILE --out=FILE\n"
     "  info       --in=FILE\n"
@@ -165,6 +167,21 @@ std::string get_or(const std::map<std::string, std::string>& flags, const std::s
   return it == flags.end() ? fallback : it->second;
 }
 
+/// Parses --key as an integer in [0, INT_MAX] (`fallback` when absent);
+/// anything else is a usage error, not a silent 0.
+int count_flag(const std::map<std::string, std::string>& flags, const std::string& key,
+               int fallback) {
+  const auto it = flags.find(key);
+  if (it == flags.end()) return fallback;
+  const std::string& text = it->second;
+  char* end = nullptr;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || v < 0 || v > std::numeric_limits<int>::max()) {
+    usage(("--" + key + " must be a non-negative integer, got \"" + text + "\"").c_str());
+  }
+  return static_cast<int>(v);
+}
+
 Shape parse_shape(const std::string& text) {
   std::vector<std::size_t> extents;
   std::size_t pos = 0;
@@ -232,20 +249,16 @@ CompressionParams params_from_flags(const std::map<std::string, std::string>& fl
   const std::string e = get_or(flags, "entropy", "deflate");
   if (e == "deflate") {
     p.entropy = EntropyMode::kDeflate;
-  } else if (e == "gzip-file") {
-    p.entropy = EntropyMode::kTempFileGzip;
   } else if (e == "none") {
     p.entropy = EntropyMode::kNone;
   } else {
     usage(("unknown entropy mode: " + e).c_str());
   }
-  // --threads=N selects the sharded parallel deflate container (N=1 is
-  // sharded but inline); the default 0 defers to WCK_THREADS, and -1
-  // forces the legacy serial container. --block-size tunes the shard
-  // granularity (bytes of payload per independently compressed block).
-  p.threads = static_cast<int>(std::strtol(get_or(flags, "threads", "0").c_str(), nullptr, 10));
-  const long block_size = std::strtol(get_or(flags, "block-size", "0").c_str(), nullptr, 10);
-  if (block_size < 0) usage("--block-size must be >= 1");
+  // --threads=N sets the deflate worker count (the default 0 defers to
+  // WCK_THREADS). --block-size sets the bytes of payload per
+  // independently compressed block (0 keeps the default).
+  p.threads = count_flag(flags, "threads", 0);
+  const int block_size = count_flag(flags, "block-size", 0);
   if (block_size > 0) p.deflate_block_size = static_cast<std::size_t>(block_size);
   return p;
 }
@@ -274,8 +287,7 @@ std::unique_ptr<Codec> make_codec(const std::string& name,
   if (name == "wavelet") {
     CompressionParams p;
     p.quantizer.divisions = 128;
-    p.threads =
-        static_cast<int>(std::strtol(get_or(flags, "threads", "0").c_str(), nullptr, 10));
+    p.threads = count_flag(flags, "threads", 0);
     return std::make_unique<WaveletLossyCodec>(p);
   }
   if (name == "fpc") return std::make_unique<FpcCodec>();

@@ -84,6 +84,19 @@ std::vector<CorpusEntry> build_corpus() {
     corpus.push_back({name, WaveletCompressor(params).compress(field).data,
                       [](const Bytes& b) { (void)WaveletCompressor::decompress(b); }});
   }
+  {
+    // Tag 1 (one zlib stream) is no longer written but still decoded,
+    // so older store generations restore; keep that decoder fuzzed.
+    CompressionParams params;
+    params.quantizer.divisions = 64;
+    params.entropy = EntropyMode::kNone;
+    const Bytes plain = WaveletCompressor(params).compress(field).data;
+    Bytes legacy{std::byte{1}};
+    const Bytes body = zlib_compress(std::span<const std::byte>(plain).subspan(1));
+    legacy.insert(legacy.end(), body.begin(), body.end());
+    corpus.push_back({"wavelet-zlib-legacy", std::move(legacy),
+                      [](const Bytes& b) { (void)WaveletCompressor::decompress(b); }});
+  }
 
   {
     NdArray<double> a = make_smooth_field(Shape{24, 24}, 21);
