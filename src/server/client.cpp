@@ -1,9 +1,9 @@
 #include "server/client.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <utility>
 
+#include "server/observe.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 
@@ -165,28 +165,15 @@ void StoreClient::note_slow_rpc(const char* type_name, const std::string& tenant
   const double ms = (telemetry::Tracer::global().now_us() - start_us) / 1e3;
   if (ms < static_cast<double>(options_.slow_request_ms)) return;
   try {
-    char ms_buf[32];
-    std::snprintf(ms_buf, sizeof ms_buf, "%.3f", ms);
-    // The detail is itself a JSON object, string-encoded inside the
-    // event line; consumers json-parse the "detail" field again.
-    std::string detail = "{\"tenant\":\"";
-    detail += tenant;
-    detail += "\",\"type\":\"";
-    detail += type_name;
-    detail += "\",\"trace_id\":\"";
-    detail += telemetry::trace_id_hex(ctx.trace_id);
-    detail += "\",\"ms\":";
-    detail += ms_buf;
-    detail += ",\"req_bytes\":";
-    detail += std::to_string(request_bytes);
-    detail += ",\"resp_bytes\":";
-    detail += std::to_string(reply_bytes);
-    detail += ",\"retries\":";
-    detail += std::to_string(retries_ - retries_before);
-    detail += ",\"error\":";
-    detail += error ? "true" : "false";
-    detail += "}";
-    WCK_EVENT(kClientSlowRequest, step, std::move(detail));
+    WCK_EVENT(kClientSlowRequest, step,
+              server::slow_request_detail({.tenant = tenant,
+                                           .type_name = type_name,
+                                           .trace_id = ctx.trace_id,
+                                           .ms = ms,
+                                           .request_bytes = request_bytes,
+                                           .reply_bytes = reply_bytes,
+                                           .retries = retries_ - retries_before,
+                                           .error = error}));
   } catch (...) {
     // Slow-request logging is best-effort; never mask the RPC outcome.
   }

@@ -5,6 +5,7 @@
 #include <variant>
 
 #include "telemetry/event_log.hpp"
+#include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace wck::server {
@@ -97,6 +98,31 @@ void record_rpc_metrics(net::MessageType type, double seconds, double bytes, boo
 
 }  // namespace
 
+std::string slow_request_detail(const SlowRequest& r) {
+  char ms_buf[32];
+  std::snprintf(ms_buf, sizeof ms_buf, "%.3f", r.ms);
+  std::string detail = "{\"tenant\":";
+  detail += telemetry::json_quote(r.tenant);
+  detail += ",\"type\":";
+  detail += telemetry::json_quote(r.type_name);
+  detail += ",\"trace_id\":\"";
+  detail += telemetry::trace_id_hex(r.trace_id);
+  detail += "\",\"ms\":";
+  detail += ms_buf;
+  detail += ",\"req_bytes\":";
+  detail += std::to_string(r.request_bytes);
+  detail += ",\"resp_bytes\":";
+  detail += std::to_string(r.reply_bytes);
+  if (r.retries) {
+    detail += ",\"retries\":";
+    detail += std::to_string(*r.retries);
+  }
+  detail += ",\"error\":";
+  detail += r.error ? "true" : "false";
+  detail += "}";
+  return detail;
+}
+
 ServerRpcScope::ServerRpcScope(const net::AnyMessage& request, std::size_t request_bytes,
                                int slow_request_ms) {
   if (!telemetry::enabled()) return;
@@ -132,26 +158,15 @@ void ServerRpcScope::finish(std::size_t reply_bytes, bool error_reply) noexcept 
   const double ms = dur_us / 1e3;
   if (slow_request_ms_ >= 0 && ms >= static_cast<double>(slow_request_ms_)) {
     try {
-      char ms_buf[32];
-      std::snprintf(ms_buf, sizeof ms_buf, "%.3f", ms);
-      // The detail is itself a JSON object, string-encoded inside the
-      // event line; consumers json-parse the "detail" field again.
-      std::string detail = "{\"tenant\":\"";
-      detail += tenant_;
-      detail += "\",\"type\":\"";
-      detail += type_name_;
-      detail += "\",\"trace_id\":\"";
-      detail += telemetry::trace_id_hex(ctx_.trace_id);
-      detail += "\",\"ms\":";
-      detail += ms_buf;
-      detail += ",\"req_bytes\":";
-      detail += std::to_string(request_bytes_);
-      detail += ",\"resp_bytes\":";
-      detail += std::to_string(reply_bytes);
-      detail += ",\"error\":";
-      detail += error_reply ? "true" : "false";
-      detail += "}";
-      WCK_EVENT(kServerSlowRequest, step_, std::move(detail));
+      WCK_EVENT(kServerSlowRequest, step_,
+                slow_request_detail({.tenant = tenant_,
+                                     .type_name = type_name_,
+                                     .trace_id = ctx_.trace_id,
+                                     .ms = ms,
+                                     .request_bytes = request_bytes_,
+                                     .reply_bytes = reply_bytes,
+                                     .retries = std::nullopt,
+                                     .error = error_reply}));
     } catch (...) {
       // Slow-request logging is best-effort; an OOM here must not turn
       // a served RPC into a crashed connection.

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "net/protocol.hpp"
@@ -60,6 +61,26 @@ class ServerRpcScope {
   bool finished_ = false;
   std::optional<telemetry::TraceSpan> span_;
 };
+
+/// One slow-request record: the fields both sides log for an RPC over
+/// its slow_request_ms threshold. `retries` is the client's count; the
+/// server has none and leaves it empty.
+struct SlowRequest {
+  std::string_view tenant;
+  const char* type_name = "";
+  std::uint64_t trace_id = 0;
+  double ms = 0.0;
+  std::size_t request_bytes = 0;
+  std::size_t reply_bytes = 0;
+  std::optional<std::uint64_t> retries;
+  bool error = false;
+};
+
+/// The kServerSlowRequest / kClientSlowRequest event detail: a JSON
+/// object, string-encoded inside the event line, that consumers parse a
+/// second time. The tenant is escaped, since the server logs it as it
+/// came off the wire, before the tenant name is validated.
+[[nodiscard]] std::string slow_request_detail(const SlowRequest& r);
 
 /// Adds to "server.tenant.<tenant>.<what>" — the per-tenant counter
 /// family (puts, gets, rejects, dedup_replays). The name is built

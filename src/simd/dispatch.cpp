@@ -20,23 +20,25 @@ const KernelTable* table_for(Level level) noexcept {
   switch (level) {
     case Level::kScalar:
       return detail::scalar_table();
-    case Level::kSse2:
-      return detail::sse2_table();
     case Level::kAvx2:
       return detail::avx2_table();
   }
   return nullptr;
 }
 
+/// WCK_SIMD=scalar forces the reference kernels; unset, "auto" and
+/// every other value resolve to the best level the machine supports.
 Level resolve_from_env() {
-  const Level best = detected_best();
   const auto raw = env::get("WCK_SIMD");
-  if (!raw || raw->empty() || *raw == "auto") return best;
-  const auto parsed = parse_level(*raw);
-  if (!parsed) return best;  // unknown value behaves as "auto"
-  // A request above what the machine supports clamps down rather than
-  // failing: WCK_SIMD=avx2 on an SSE2-only box still runs.
-  return static_cast<int>(*parsed) < static_cast<int>(best) ? *parsed : best;
+  if (raw && *raw == "scalar") return Level::kScalar;
+  return detected_best();
+}
+
+void require_available(Level level) {
+  if (static_cast<int>(level) > static_cast<int>(detected_best())) {
+    throw InvalidArgumentError(std::string("SIMD level not available on this machine: ") +
+                               to_string(level));
+  }
 }
 
 void publish_gauge(Level level) {
@@ -49,34 +51,22 @@ const char* to_string(Level level) noexcept {
   switch (level) {
     case Level::kScalar:
       return "scalar";
-    case Level::kSse2:
-      return "sse2";
     case Level::kAvx2:
       return "avx2";
   }
   return "unknown";
 }
 
-std::optional<Level> parse_level(std::string_view s) noexcept {
-  if (s == "scalar") return Level::kScalar;
-  if (s == "sse2") return Level::kSse2;
-  if (s == "avx2") return Level::kAvx2;
-  return std::nullopt;
-}
-
 Level detected_best() noexcept {
 #if defined(__x86_64__)
   if (detail::avx2_table() != nullptr && __builtin_cpu_supports("avx2")) return Level::kAvx2;
-  if (detail::sse2_table() != nullptr && __builtin_cpu_supports("sse2")) return Level::kSse2;
 #endif
   return Level::kScalar;
 }
 
 std::vector<Level> available_levels() {
   std::vector<Level> out{Level::kScalar};
-  const Level best = detected_best();
-  if (best >= Level::kSse2) out.push_back(Level::kSse2);
-  if (best >= Level::kAvx2) out.push_back(Level::kAvx2);
+  if (detected_best() == Level::kAvx2) out.push_back(Level::kAvx2);
   return out;
 }
 
@@ -96,18 +86,12 @@ Level active_level() {
 const KernelTable& kernels() { return *table_for(active_level()); }
 
 const KernelTable& kernels_for(Level level) {
-  if (static_cast<int>(level) > static_cast<int>(detected_best())) {
-    throw InvalidArgumentError(std::string("SIMD level not available on this machine: ") +
-                               to_string(level));
-  }
+  require_available(level);
   return *table_for(level);
 }
 
 void set_active_level_for_test(Level level) {
-  if (static_cast<int>(level) > static_cast<int>(detected_best())) {
-    throw InvalidArgumentError(std::string("SIMD level not available on this machine: ") +
-                               to_string(level));
-  }
+  require_available(level);
   g_active.store(static_cast<int>(level), std::memory_order_relaxed);
   publish_gauge(level);
 }

@@ -1,44 +1,41 @@
 // Runtime-dispatched SIMD kernel layer for the numeric hot path.
 //
-// Every kernel exists at three levels — portable scalar, SSE2, AVX2 —
-// and all levels are bit-identical: the vector paths are restricted to
+// Two levels: the portable scalar reference and AVX2. The AVX2 table
+// carries a vector kernel only where bench/micro_kernels shows >= 1.5x
+// over scalar (bitmap_select, on the restore path, is the one kept
+// below that bar); other slots point at the portable function. Both
+// levels are bit-identical: the vector paths are restricted to
 // operations whose IEEE-754 results match the scalar reference exactly
-// (power-of-two scaling, min/max with explicit NaN ordering, integer
-// table lookups, pure data movement). Callers fetch a KernelTable once
+// (min/max with explicit NaN ordering, clamp-then-truncate, integer
+// arithmetic, pure data movement). Callers fetch a KernelTable once
 // per batch via kernels() and never include intrinsics headers
 // themselves (wck_lint rule "raw-simd" enforces this: intrinsics live
 // only under src/simd/).
 //
-// Level selection: the best level supported by both the build and the
-// CPU (CPUID at first use), overridable with WCK_SIMD=scalar|sse2|avx2|auto
-// through the wck::env cache. A request above what the CPU supports
-// clamps down; unknown values behave as "auto". The resolved level is
-// cached for the process lifetime and published as the "simd.level"
-// telemetry gauge so bench records are comparable across machines.
+// Level selection: AVX2 when both the build and the CPU (CPUID at first
+// use) support it, else scalar. WCK_SIMD=scalar (read through the
+// wck::env cache) forces the reference kernels; any other value means
+// auto. The resolved level is cached for the process lifetime and
+// published as the "simd.level" telemetry gauge so bench records are
+// comparable across machines.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 namespace wck::simd {
 
-/// Dispatch levels, ordered weakest to strongest.
+/// Dispatch levels, ordered weakest to strongest. The values are what
+/// the simd.level gauge reports (2 stays AVX2 across record versions).
 enum class Level : int {
   kScalar = 0,
-  kSse2 = 1,
   kAvx2 = 2,
 };
 
 [[nodiscard]] const char* to_string(Level level) noexcept;
 
-/// Parses "scalar" / "sse2" / "avx2". Anything else (including "auto")
-/// returns nullopt.
-[[nodiscard]] std::optional<Level> parse_level(std::string_view s) noexcept;
-
-/// One function pointer per kernel. All levels compute bit-identical
+/// One function pointer per kernel. Both levels compute bit-identical
 /// results; only throughput differs.
 struct KernelTable {
   /// Haar forward over `pairs` contiguous (a, b) pairs:
@@ -83,7 +80,8 @@ struct KernelTable {
 /// Strongest level supported by this build AND this CPU.
 [[nodiscard]] Level detected_best() noexcept;
 
-/// Every level runnable on this machine: kScalar up to detected_best().
+/// Every level runnable on this machine: kScalar, then kAvx2 if
+/// detected_best() is kAvx2.
 [[nodiscard]] std::vector<Level> available_levels();
 
 /// The process-wide level: WCK_SIMD-resolved on first call, then cached.

@@ -1,14 +1,14 @@
-// Portable scalar reference kernels. Every other level is tested
+// Portable scalar reference kernels. The AVX2 level is tested
 // bit-identical against these; behavioral questions (NaN ordering, ±0
-// canonicalization, clamping) are settled here and the vector TUs
-// mirror the answers.
+// canonicalization, clamping) are settled here and kernels_avx2.cpp
+// mirrors the answers. The functions outside the anonymous namespace
+// also fill the AVX2 table's slots that have no vector version.
 #include <bit>
 #include <cstring>
 
 #include "simd/kernels.hpp"
 
 namespace wck::simd::detail {
-namespace {
 
 void haar_forward_pairs(const double* src, double* low, double* high, std::size_t pairs) {
   for (std::size_t i = 0; i < pairs; ++i) {
@@ -25,6 +25,37 @@ void haar_inverse_pairs(const double* low, const double* high, double* dst, std:
     dst[2 * i + 1] = low[i] - high[i];
   }
 }
+
+void pack_f64_le(const double* v, std::size_t n, std::byte* out) {
+  if (n == 0) return;  // empty vectors hand memcpy a null data() pointer (UB)
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, v, n * sizeof(double));
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto bits = std::bit_cast<std::uint64_t>(v[i]);
+      for (std::size_t k = 0; k < 8; ++k) {
+        out[8 * i + k] = static_cast<std::byte>((bits >> (8 * k)) & 0xFFu);
+      }
+    }
+  }
+}
+
+void unpack_f64_le(const std::byte* in, std::size_t n, double* out) {
+  if (n == 0) return;  // empty vectors hand memcpy a null data() pointer (UB)
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, in, n * sizeof(double));
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t bits = 0;
+      for (std::size_t k = 0; k < 8; ++k) {
+        bits |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(in[8 * i + k])) << (8 * k);
+      }
+      out[i] = std::bit_cast<double>(bits);
+    }
+  }
+}
+
+namespace {
 
 void range_min_max(const double* v, std::size_t n, double* lo, double* hi) {
   double mn = v[0];
@@ -63,35 +94,6 @@ void bitmap_select(const std::uint64_t* words, std::size_t n, const double* aver
   for (std::size_t i = 0; i < n; ++i) {
     const bool quantized = (words[i / 64] >> (i % 64)) & 1ull;
     out[i] = quantized ? averages[indices[qi++]] : exact[ei++];
-  }
-}
-
-void pack_f64_le(const double* v, std::size_t n, std::byte* out) {
-  if (n == 0) return;  // empty vectors hand memcpy a null data() pointer (UB)
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out, v, n * sizeof(double));
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto bits = std::bit_cast<std::uint64_t>(v[i]);
-      for (std::size_t k = 0; k < 8; ++k) {
-        out[8 * i + k] = static_cast<std::byte>((bits >> (8 * k)) & 0xFFu);
-      }
-    }
-  }
-}
-
-void unpack_f64_le(const std::byte* in, std::size_t n, double* out) {
-  if (n == 0) return;  // empty vectors hand memcpy a null data() pointer (UB)
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out, in, n * sizeof(double));
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t bits = 0;
-      for (std::size_t k = 0; k < 8; ++k) {
-        bits |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(in[8 * i + k])) << (8 * k);
-      }
-      out[i] = std::bit_cast<double>(bits);
-    }
   }
 }
 
@@ -179,31 +181,6 @@ std::uint32_t crc32_update_slice8(std::uint32_t state, const unsigned char* p, s
     c = tb[0][(c ^ *p++) & 0xFFu] ^ (c >> 8);
   }
   return c;
-}
-
-void bitmap_select_wordfast(const std::uint64_t* words, std::size_t n, const double* averages,
-                            const std::uint8_t* indices, const double* exact, double* out) {
-  std::size_t qi = 0;
-  std::size_t ei = 0;
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const std::uint64_t w = words[i / 64];
-    if (w == ~0ull) {
-      for (std::size_t k = 0; k < 64; ++k) out[i + k] = averages[indices[qi + k]];
-      qi += 64;
-    } else if (w == 0) {
-      std::memcpy(out + i, exact + ei, 64 * sizeof(double));
-      ei += 64;
-    } else {
-      for (std::size_t k = 0; k < 64; ++k) {
-        out[i + k] = ((w >> k) & 1ull) != 0 ? averages[indices[qi++]] : exact[ei++];
-      }
-    }
-  }
-  for (; i < n; ++i) {
-    const bool quantized = (words[i / 64] >> (i % 64)) & 1ull;
-    out[i] = quantized ? averages[indices[qi++]] : exact[ei++];
-  }
 }
 
 const KernelTable* scalar_table() noexcept { return &kScalarTable; }

@@ -86,14 +86,7 @@ void expect_bits_equal(std::span<const double> got, std::span<const double> want
 const std::size_t kLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 63, 64, 65, 127, 1000, 1001};
 
 TEST(SimdDispatch, ParseAndPrint) {
-  EXPECT_EQ(simd::parse_level("scalar"), Level::kScalar);
-  EXPECT_EQ(simd::parse_level("sse2"), Level::kSse2);
-  EXPECT_EQ(simd::parse_level("avx2"), Level::kAvx2);
-  EXPECT_FALSE(simd::parse_level("auto").has_value());
-  EXPECT_FALSE(simd::parse_level("").has_value());
-  EXPECT_FALSE(simd::parse_level("AVX2").has_value());
   EXPECT_STREQ(simd::to_string(Level::kScalar), "scalar");
-  EXPECT_STREQ(simd::to_string(Level::kSse2), "sse2");
   EXPECT_STREQ(simd::to_string(Level::kAvx2), "avx2");
 }
 
@@ -118,15 +111,13 @@ TEST(SimdDispatch, EnvOverrideResolvesThroughEnvCache) {
   simd::reset_active_level_for_test();
   EXPECT_EQ(simd::active_level(), Level::kScalar);
 
-  // Unknown values behave as auto.
-  env::set_override("WCK_SIMD", "bogus");
-  simd::reset_active_level_for_test();
-  EXPECT_EQ(simd::active_level(), simd::detected_best());
-
-  // A request above hardware support clamps down instead of failing.
-  env::set_override("WCK_SIMD", "avx2");
-  simd::reset_active_level_for_test();
-  EXPECT_LE(static_cast<int>(simd::active_level()), static_cast<int>(simd::detected_best()));
+  // Every value but "scalar" behaves as auto, including the retired
+  // "sse2" level and an "avx2" request on a machine without AVX2.
+  for (const char* value : {"bogus", "sse2", "avx2"}) {
+    env::set_override("WCK_SIMD", value);
+    simd::reset_active_level_for_test();
+    EXPECT_EQ(simd::active_level(), simd::detected_best()) << "WCK_SIMD=" << value;
+  }
 
   env::clear_override("WCK_SIMD");
   simd::reset_active_level_for_test();

@@ -593,6 +593,26 @@ TEST(StoreServer, SlowRequestLogRecordsStructuredDetail) {
   }
   EXPECT_TRUE(server_logged);
   EXPECT_TRUE(client_logged);
+
+  // The server logs the tenant as it came off the wire, before the name
+  // is validated: quotes and backslashes must not forge detail fields.
+  const std::string forged = R"(a","error":true,"x":"\)";
+  EXPECT_THROW((void)client.put(forged, 4, field_for(4)), InvalidArgumentError);
+  int forged_details = 0;
+  for (const telemetry::Event& e : telemetry::EventLog::global().snapshot()) {
+    if (e.step != 4u || (e.kind != telemetry::EventKind::kServerSlowRequest &&
+                         e.kind != telemetry::EventKind::kClientSlowRequest)) {
+      continue;
+    }
+    const telemetry::Json detail = telemetry::Json::parse(e.detail);
+    ASSERT_TRUE(detail.is_object()) << e.detail;
+    EXPECT_EQ(detail.at("tenant").as_string(), forged);
+    EXPECT_EQ(detail.at("type").as_string(), "put");
+    EXPECT_TRUE(detail.at("error").as_bool());
+    EXPECT_EQ(detail.find("x"), nullptr);
+    ++forged_details;
+  }
+  EXPECT_EQ(forged_details, 2) << "one server-side and one client-side detail";
 }
 
 TEST(StoreServer, GracefulDrainWritesFinalSnapshot) {
