@@ -9,14 +9,27 @@
 // per-process array, not synthetic bytes — compression ratio and speed
 // are representative of what fig9's gzip stage sees.
 //
+// When the system zlib is available, two reference rows follow: zlib
+// level 6 on the same payload, and the per-call cost of ours and zlib's
+// on 2 KB slices of it (the small-put regime, where fixed per-call costs
+// dominate).
+//
 // Emits a wck-bench-record (--bench-json[=PATH]) with throughput gauges
 // (deflate.serial.compress.mbps, deflate.sharded.t<N>.compress.mbps,
-// ...) and the serial/sharded byte sizes in report.params for the
-// check_bench_regress.py sharded-drift gate.
+// ...), the serial/sharded byte sizes in report.params for the
+// check_bench_regress.py sharded-drift gate, and (with zlib) the
+// serial_compress_s / zlib_compress_s / call_us / zlib_call_us params
+// for its zlib-relative speed gate.
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
+
+#ifdef WCK_HAVE_ZLIB
+#include <zlib.h>
+#endif
 
 #include "bench_common.hpp"
 #include "core/compressor.hpp"
@@ -162,6 +175,51 @@ int main(int argc, char** argv) {
   // The regress gate reads these to hold sharded-container drift <= 2%.
   report.params["serial_bytes"] = std::to_string(serial.size());
   report.params["sharded_bytes"] = std::to_string(sharded_reference.size());
+
+#ifdef WCK_HAVE_ZLIB
+  // --- system zlib at level 6: the speed reference for the serial row.
+  std::vector<Bytef> ref(compressBound(static_cast<uLong>(payload.size())));
+  const auto zlib_ref = [&ref](std::span<const std::byte> in) {
+    uLongf out_len = static_cast<uLongf>(ref.size());
+    if (compress2(ref.data(), &out_len, reinterpret_cast<const Bytef*>(in.data()),
+                  static_cast<uLong>(in.size()), 6) != Z_OK) {
+      std::fprintf(stderr, "FATAL: system zlib compress2 failed\n");
+      std::exit(1);
+    }
+    return static_cast<std::size_t>(out_len);
+  };
+  std::size_t zlib_bytes = 0;
+  const double zlib_comp_s = best_seconds(repeats, [&] { zlib_bytes = zlib_ref(payload); });
+  std::printf("%-22s %10.1f MB/s comp  (%zu bytes; serial takes %.2fx its time)\n",
+              "system zlib -6", mbps(payload.size(), zlib_comp_s), zlib_bytes,
+              serial_comp_s / zlib_comp_s);
+  WCK_GAUGE_SET("deflate.zlib_ref.compress.mbps", mbps(payload.size(), zlib_comp_s));
+
+  // --- per-call cost on 2 KB slices: ours vs zlib, mean over all slices.
+  constexpr std::size_t kSlice = 2048;
+  const std::size_t slices = payload.size() / kSlice;
+  const auto slice = [&payload](std::size_t i) {
+    return std::span<const std::byte>(payload).subspan(i * kSlice, kSlice);
+  };
+  const double ours_call_s = best_seconds(repeats, [&] {
+    for (std::size_t i = 0; i < slices; ++i) (void)zlib_compress(slice(i), {});
+  }) / static_cast<double>(slices);
+  const double zlib_call_s = best_seconds(repeats, [&] {
+    for (std::size_t i = 0; i < slices; ++i) (void)zlib_ref(slice(i));
+  }) / static_cast<double>(slices);
+  std::printf("%-22s %10.1f us/call ours %8.1f us/call zlib  (%.2fx, %zu slices)\n",
+              "2 KB per call", ours_call_s * 1e6, zlib_call_s * 1e6, ours_call_s / zlib_call_s,
+              slices);
+  WCK_GAUGE_SET("deflate.call_us", ours_call_s * 1e6);
+  WCK_GAUGE_SET("deflate.zlib_ref.call_us", zlib_call_s * 1e6);
+
+  // The regress gate holds serial <= 1.25x zlib's time and the per-call
+  // cost <= 2x zlib's; records without these params skip that check.
+  report.params["serial_compress_s"] = std::to_string(serial_comp_s);
+  report.params["zlib_compress_s"] = std::to_string(zlib_comp_s);
+  report.params["call_us"] = std::to_string(ours_call_s * 1e6);
+  report.params["zlib_call_us"] = std::to_string(zlib_call_s * 1e6);
+#endif
   report.original_bytes = payload.size();
   report.compressed_bytes = sharded_reference.size();
   report.payload_bytes = payload.size();

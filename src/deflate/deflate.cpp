@@ -255,13 +255,11 @@ void emit_stored_blocks(BitWriter& bw, std::span<const std::byte> raw, bool fina
 }  // namespace
 
 Bytes deflate_compress(std::span<const std::byte> input, const DeflateOptions& options) {
-  Bytes out;
-  BitWriter bw(out);
+  BitWriter bw;
 
   if (input.empty()) {
     emit_stored_blocks(bw, input, /*final_block=*/true);
-    bw.align_to_byte();
-    return out;
+    return bw.finish();
   }
 
   const Lz77Params params = lz77_params_for_level(options.level);
@@ -310,8 +308,7 @@ Bytes deflate_compress(std::span<const std::byte> input, const DeflateOptions& o
     if (final_block) break;
   }
 
-  bw.align_to_byte();
-  return out;
+  return bw.finish();
 }
 
 namespace {

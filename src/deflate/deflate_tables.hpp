@@ -4,6 +4,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace wck::deflate_tables {
@@ -68,12 +69,28 @@ inline constexpr std::array<std::uint8_t, kNumClc> kClcOrder = {
   return 0;
 }
 
+/// Distance-code lookup, zlib style: entries 0..255 map distance-1 for
+/// distances up to 256; entries 256..511 map (distance-1) >> 7 for the
+/// rest (every code from 16 up spans a multiple of 128 distances).
+inline constexpr std::array<std::uint8_t, 512> kDistCodeLut = [] {
+  std::array<std::uint8_t, 512> lut{};
+  std::size_t code = 0;
+  for (std::size_t d = 0; d < 256; ++d) {
+    while (code + 1 < kDistCodes.size() && d + 1 >= kDistCodes[code + 1].base) ++code;
+    lut[d] = static_cast<std::uint8_t>(code);
+  }
+  code = 0;
+  for (std::size_t d = 0; d < 256; ++d) {
+    while (code + 1 < kDistCodes.size() && (d << 7) + 1 >= kDistCodes[code + 1].base) ++code;
+    lut[256 + d] = static_cast<std::uint8_t>(code);
+  }
+  return lut;
+}();
+
 /// Maps a match distance (1..32768) to its distance code index (0..29).
 [[nodiscard]] constexpr int dist_to_code(int dist) noexcept {
-  for (int c = 29; c >= 0; --c) {
-    if (dist >= kDistCodes[static_cast<std::size_t>(c)].base) return c;
-  }
-  return 0;
+  const auto d = static_cast<std::size_t>(dist - 1);
+  return d < 256 ? kDistCodeLut[d] : kDistCodeLut[256 + (d >> 7)];
 }
 
 /// Fixed Huffman literal/length code lengths (RFC 1951 3.2.6).

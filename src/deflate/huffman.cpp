@@ -7,83 +7,86 @@
 #include "util/error.hpp"
 
 namespace wck {
-namespace {
-
-/// A node in the package-merge coin lists: a weight plus the multiset of
-/// leaf symbols it contains (alphabets are small — at most 288 symbols —
-/// so storing symbol lists explicitly is cheap and keeps the algorithm
-/// literal).
-struct PmNode {
-  std::uint64_t weight = 0;
-  std::vector<std::uint16_t> symbols;
-};
-
-}  // namespace
 
 std::vector<std::uint8_t> build_code_lengths(std::span<const std::uint64_t> freqs,
                                              int max_length) {
+  if (max_length < 1 || max_length > 15) {
+    throw InvalidArgumentError("Huffman code length limit " + std::to_string(max_length) +
+                               " outside [1, 15]");
+  }
   const std::size_t n = freqs.size();
   std::vector<std::uint8_t> lengths(n, 0);
 
-  std::vector<std::uint16_t> used;
+  struct Leaf {
+    std::uint64_t weight;
+    std::uint16_t symbol;
+  };
+  std::vector<Leaf> leaves;
   for (std::size_t i = 0; i < n; ++i) {
-    if (freqs[i] > 0) used.push_back(static_cast<std::uint16_t>(i));
+    if (freqs[i] > 0) leaves.push_back(Leaf{freqs[i], static_cast<std::uint16_t>(i)});
   }
-  if (used.empty()) return lengths;
-  if (used.size() == 1) {
-    lengths[used[0]] = 1;
+  const std::size_t used = leaves.size();
+  if (used == 0) return lengths;
+  if (used == 1) {
+    lengths[leaves[0].symbol] = 1;
     return lengths;
   }
-  if (static_cast<std::size_t>(1) << max_length < used.size()) {
-    throw InvalidArgumentError("alphabet of " + std::to_string(used.size()) +
+  if (static_cast<std::size_t>(1) << max_length < used) {
+    throw InvalidArgumentError("alphabet of " + std::to_string(used) +
                                " symbols cannot fit in " + std::to_string(max_length) + " bits");
   }
-
-  // Package-merge (coin collector): leaves sorted by weight form the
-  // denomination list at every level; each level pairs adjacent nodes of
-  // the previous level into packages and merges them with the leaves.
-  std::vector<PmNode> leaves;
-  leaves.reserve(used.size());
-  for (const std::uint16_t s : used) {
-    leaves.push_back(PmNode{freqs[s], {s}});
-  }
+  // The leaf order among equal weights is part of the output: it decides
+  // which of two tied symbols gets the longer code.
   std::sort(leaves.begin(), leaves.end(),
-            [](const PmNode& a, const PmNode& b) { return a.weight < b.weight; });
+            [](const Leaf& a, const Leaf& b) { return a.weight < b.weight; });
 
-  std::vector<PmNode> prev = leaves;
-  for (int level = 1; level < max_length; ++level) {
-    // Pair adjacent nodes of `prev` into packages.
-    std::vector<PmNode> packages;
-    packages.reserve(prev.size() / 2);
-    for (std::size_t i = 0; i + 1 < prev.size(); i += 2) {
-      PmNode pkg;
-      pkg.weight = prev[i].weight + prev[i + 1].weight;
-      pkg.symbols = prev[i].symbols;
-      pkg.symbols.insert(pkg.symbols.end(), prev[i + 1].symbols.begin(),
-                         prev[i + 1].symbols.end());
-      packages.push_back(std::move(pkg));
-    }
-    // Merge packages with the fresh leaf list (both sorted by weight).
-    std::vector<PmNode> cur;
-    cur.reserve(leaves.size() + packages.size());
+  // Package-merge (coin collector). Level 0 is the sorted leaf list;
+  // level k merges the leaves with the packages of level k-1, where
+  // package j holds nodes 2j and 2j+1 of level k-1 (a leaf wins a weight
+  // tie). Nodes are indices, not symbol lists: a level records only its
+  // weights and which of its nodes are leaves. Merging keeps both inputs
+  // in order, so any prefix of a level is a prefix of the leaves plus
+  // packages 0..p-1, and those packages are the first 2p nodes one level
+  // down.
+  const std::size_t width = 2 * used;  // every level holds < 2 * used nodes
+  const auto levels = static_cast<std::size_t>(max_length);
+  std::vector<std::uint8_t> is_leaf(levels * width, 1);
+  std::vector<std::uint64_t> prev(width);
+  std::vector<std::uint64_t> cur(width);
+  for (std::size_t i = 0; i < used; ++i) prev[i] = leaves[i].weight;
+  std::size_t prev_size = used;
+  for (std::size_t level = 1; level < levels; ++level) {
+    const std::size_t packages = prev_size / 2;
+    std::uint8_t* leaf_flags = is_leaf.data() + level * width;
     std::size_t li = 0;
     std::size_t pi = 0;
-    while (li < leaves.size() || pi < packages.size()) {
-      const bool take_leaf =
-          pi >= packages.size() ||
-          (li < leaves.size() && leaves[li].weight <= packages[pi].weight);
-      cur.push_back(take_leaf ? leaves[li++] : std::move(packages[pi++]));
+    std::size_t out = 0;
+    while (li < used || pi < packages) {
+      const std::uint64_t package_weight =
+          pi < packages ? prev[2 * pi] + prev[2 * pi + 1] : 0;
+      const bool take_leaf = pi >= packages || (li < used && leaves[li].weight <= package_weight);
+      if (take_leaf) {
+        cur[out] = leaves[li++].weight;
+      } else {
+        cur[out] = package_weight;
+        ++pi;
+      }
+      leaf_flags[out++] = take_leaf ? 1 : 0;
     }
-    prev = std::move(cur);
+    prev_size = out;
+    std::swap(prev, cur);
   }
 
-  // The first 2*(n_used - 1) nodes of the final list are the solution;
-  // each symbol's code length equals the number of nodes containing it.
-  const std::size_t take = 2 * (used.size() - 1);
-  for (std::size_t i = 0; i < take; ++i) {
-    for (const std::uint16_t s : prev[i].symbols) {
-      ++lengths[s];
-    }
+  // The first 2*(used - 1) nodes of the top level are the solution; a
+  // symbol's code length is the number of levels whose selected prefix
+  // holds its leaf. Push the selection down one level at a time.
+  std::size_t take = 2 * (used - 1);
+  for (std::size_t level = levels; level-- > 0;) {
+    const std::uint8_t* leaf_flags = is_leaf.data() + level * width;
+    std::size_t leaf_count = 0;
+    for (std::size_t i = 0; i < take; ++i) leaf_count += leaf_flags[i];
+    for (std::size_t i = 0; i < leaf_count; ++i) ++lengths[leaves[i].symbol];
+    take = 2 * (take - leaf_count);
   }
   return lengths;
 }
@@ -91,7 +94,7 @@ std::vector<std::uint8_t> build_code_lengths(std::span<const std::uint64_t> freq
 CanonicalCode CanonicalCode::from_lengths(std::span<const std::uint8_t> lengths) {
   CanonicalCode cc;
   cc.lengths.assign(lengths.begin(), lengths.end());
-  cc.codes.assign(lengths.size(), 0);
+  cc.stream_codes.assign(lengths.size(), 0);
 
   std::uint32_t bl_count[16] = {};
   int max_len = 0;
@@ -111,10 +114,9 @@ CanonicalCode CanonicalCode::from_lengths(std::span<const std::uint8_t> lengths)
   for (std::size_t s = 0; s < lengths.size(); ++s) {
     const std::uint8_t l = lengths[s];
     if (l != 0) {
-      cc.codes[s] = static_cast<std::uint16_t>(next_code[l]++);
-      if (cc.codes[s] >= (1u << l)) {
-        throw InvalidArgumentError("over-subscribed Huffman code lengths");
-      }
+      const std::uint32_t c = next_code[l]++;
+      if (c >= (1u << l)) throw InvalidArgumentError("over-subscribed Huffman code lengths");
+      cc.stream_codes[s] = static_cast<std::uint16_t>(BitWriter::reverse(c, l));
     }
   }
   return cc;

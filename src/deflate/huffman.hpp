@@ -1,6 +1,14 @@
 // Canonical Huffman coding: length-limited code construction
 // (package-merge), canonical code assignment (RFC 1951 rules), and a
 // table-accelerated decoder.
+//
+// The encoder side is on the checkpoint hot path: a dynamic deflate
+// block builds three codes, so construction must cost microseconds, not
+// the vector-per-node package-merge it replaced. Construction walks
+// index-linked levels with no per-node allocation and returns the same
+// lengths bit for bit (same leaf sort, same merge tie rule), and codes
+// are stored pre-reversed so emitting a symbol is a single bit-writer
+// put. Neither change moves an output byte.
 #pragma once
 
 #include <cstdint>
@@ -16,22 +24,25 @@ namespace wck {
 ///
 /// Symbols with zero frequency get length 0 (absent). If exactly one
 /// symbol has nonzero frequency it gets length 1. Throws
-/// InvalidArgumentError if the alphabet cannot fit in `max_length` bits.
+/// InvalidArgumentError if `max_length` is outside [1, 15] or the
+/// alphabet cannot fit in `max_length` bits.
 [[nodiscard]] std::vector<std::uint8_t> build_code_lengths(std::span<const std::uint64_t> freqs,
                                                            int max_length);
 
 /// Canonical Huffman codes derived from code lengths, following the
 /// RFC 1951 assignment (shorter codes first; ties broken by symbol order).
 struct CanonicalCode {
-  std::vector<std::uint16_t> codes;   ///< MSB-first code bits per symbol.
+  /// Code bits per symbol in stream order: the MSB-first canonical code
+  /// reversed once here, so emission packs it LSB-first as it stands.
+  std::vector<std::uint16_t> stream_codes;
   std::vector<std::uint8_t> lengths;  ///< 0 = symbol absent.
 
   [[nodiscard]] static CanonicalCode from_lengths(std::span<const std::uint8_t> lengths);
 
   /// Writes the code for `symbol` (must be present) to the bit stream.
   void emit(BitWriter& bw, int symbol) const {
-    bw.put_huffman(codes[static_cast<std::size_t>(symbol)],
-                   lengths[static_cast<std::size_t>(symbol)]);
+    bw.put(stream_codes[static_cast<std::size_t>(symbol)],
+           lengths[static_cast<std::size_t>(symbol)]);
   }
 };
 

@@ -44,12 +44,11 @@ Bytes huffman_only_compress(std::span<const std::byte> input) {
     w.u8(static_cast<std::uint8_t>(lo | (hi << 4)));
   }
   const auto code = CanonicalCode::from_lengths(lengths);
-  BitWriter bw(w.buffer());
+  BitWriter bw(w.take());
   for (const std::byte b : input) {
     code.emit(bw, static_cast<std::uint8_t>(b));
   }
-  bw.align_to_byte();
-  return w.take();
+  return bw.finish();
 }
 
 Bytes huffman_only_decompress(std::span<const std::byte> input) {

@@ -1,6 +1,15 @@
 // LZ77 string matching over a 32 KiB sliding window (the DEFLATE model):
 // hash-chain candidate search with greedy parsing plus one-step lazy
 // matching, as in zlib.
+//
+// The chains are zlib's layout: 32-bit heads and a 32 KiB ring of links
+// indexed by position mod the window, kept in per-thread scratch that
+// every call reuses (a call touches no allocation proportional to its
+// input beyond the token vector). Matches extend eight bytes at a time,
+// candidates that cannot beat the current best are rejected on two
+// 16-bit compares, and a longer lazy match is carried forward instead of
+// searched for twice. None of this changes a token: the parse is the one
+// the plain hash-chain search makes, so deflate's output bytes are fixed.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +54,8 @@ struct Lz77Params {
 [[nodiscard]] Lz77Params lz77_params_for_level(int level);
 
 /// Parses `input` into a token stream. Deterministic for fixed input and
-/// params. The token stream always reproduces `input` exactly.
+/// params. The token stream always reproduces `input` exactly. Throws
+/// InvalidArgumentError for inputs of 4 GiB or more (positions are 32-bit).
 [[nodiscard]] std::vector<Lz77Token> lz77_parse(std::span<const std::byte> input,
                                                 const Lz77Params& params);
 

@@ -7,16 +7,22 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
 
 namespace wck {
 
-/// Writes bits LSB-first into a growing byte buffer.
+/// Writes bits LSB-first into a byte buffer it owns. Bits collect in a
+/// 64-bit accumulator and reach the buffer 32 at a time, so the bytes are
+/// handed out only by finish(), which first flushes the remainder: no
+/// caller can read a stream whose last bits are still in the accumulator.
 class BitWriter {
  public:
-  explicit BitWriter(std::vector<std::byte>& out) : out_(out) {}
+  BitWriter() = default;
+  /// Continues a stream after `prefix` (e.g. an already written header).
+  explicit BitWriter(std::vector<std::byte> prefix) : out_(std::move(prefix)) {}
 
   /// Appends the low `count` bits of `bits` (0 <= count <= 32),
   /// least-significant bit first. `count == 0` writes nothing; counts
@@ -27,24 +33,31 @@ class BitWriter {
     if (count == 0) return;
     acc_ |= static_cast<std::uint64_t>(bits & mask(count)) << nbits_;
     nbits_ += count;
-    while (nbits_ >= 8) {
-      out_.push_back(static_cast<std::byte>(acc_ & 0xFFu));
-      acc_ >>= 8;
-      nbits_ -= 8;
+    if (nbits_ >= 32) {
+      const std::size_t at = out_.size();
+      out_.resize(at + 4);
+      for (std::size_t i = 0; i < 4; ++i) {
+        out_[at + i] = static_cast<std::byte>((acc_ >> (8 * i)) & 0xFFu);
+      }
+      acc_ >>= 32;
+      nbits_ -= 32;
     }
   }
 
-  /// Appends a Huffman code: DEFLATE stores Huffman codes MSB-first, so
-  /// the code bits must be reversed before LSB-first packing.
-  void put_huffman(std::uint32_t code, int length) { put(reverse(code, length), length); }
-
   /// Pads with zero bits to the next byte boundary.
   void align_to_byte() {
-    if (nbits_ > 0) {
+    while (nbits_ > 0) {
       out_.push_back(static_cast<std::byte>(acc_ & 0xFFu));
-      acc_ = 0;
-      nbits_ = 0;
+      acc_ >>= 8;
+      nbits_ = nbits_ > 8 ? nbits_ - 8 : 0;
     }
+  }
+
+  /// Pads to a byte boundary and hands over the whole buffer; the writer
+  /// is left empty.
+  [[nodiscard]] std::vector<std::byte> finish() {
+    align_to_byte();
+    return std::exchange(out_, {});
   }
 
   /// Number of bits written so far (including unflushed ones).
@@ -72,7 +85,7 @@ class BitWriter {
     return count >= 32 ? 0xFFFFFFFFu : ((1u << count) - 1u);
   }
 
-  std::vector<std::byte>& out_;
+  std::vector<std::byte> out_;
   std::uint64_t acc_ = 0;
   int nbits_ = 0;
 };

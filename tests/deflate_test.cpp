@@ -4,14 +4,19 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
 
+#include "core/compressor.hpp"
+#include "core/synthetic.hpp"
 #include "deflate/deflate.hpp"
 #include "deflate/deflate_tables.hpp"
 #include "deflate/huffman.hpp"
 #include "deflate/lz77.hpp"
 #include "util/bitio.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -61,6 +66,132 @@ Bytes structured_bytes(std::size_t n, std::uint64_t seed) {
 // ---------------------------------------------------------------------
 // Huffman primitives
 // ---------------------------------------------------------------------
+
+/// The literal package-merge build_code_lengths replaced: every node
+/// carries its own copy of the symbols it contains. Kept as the oracle
+/// the index-linked package-merge must match length for length.
+std::vector<std::uint8_t> reference_code_lengths(std::span<const std::uint64_t> freqs,
+                                                 int max_length) {
+  struct Node {
+    std::uint64_t weight = 0;
+    std::vector<std::uint16_t> symbols;
+  };
+  std::vector<std::uint8_t> lengths(freqs.size(), 0);
+  std::vector<Node> leaves;
+  for (std::size_t i = 0; i < freqs.size(); ++i) {
+    if (freqs[i] > 0) leaves.push_back(Node{freqs[i], {static_cast<std::uint16_t>(i)}});
+  }
+  if (leaves.empty()) return lengths;
+  if (leaves.size() == 1) {
+    lengths[leaves[0].symbols[0]] = 1;
+    return lengths;
+  }
+  if (static_cast<std::size_t>(1) << max_length < leaves.size()) {
+    throw InvalidArgumentError("alphabet does not fit");
+  }
+  std::sort(leaves.begin(), leaves.end(),
+            [](const Node& a, const Node& b) { return a.weight < b.weight; });
+  std::vector<Node> prev = leaves;
+  for (int level = 1; level < max_length; ++level) {
+    std::vector<Node> packages;
+    for (std::size_t i = 0; i + 1 < prev.size(); i += 2) {
+      Node pkg{prev[i].weight + prev[i + 1].weight, prev[i].symbols};
+      pkg.symbols.insert(pkg.symbols.end(), prev[i + 1].symbols.begin(),
+                         prev[i + 1].symbols.end());
+      packages.push_back(std::move(pkg));
+    }
+    std::vector<Node> cur;
+    std::size_t li = 0;
+    std::size_t pi = 0;
+    while (li < leaves.size() || pi < packages.size()) {
+      const bool take_leaf = pi >= packages.size() || (li < leaves.size() &&
+                                                       leaves[li].weight <= packages[pi].weight);
+      cur.push_back(take_leaf ? leaves[li++] : std::move(packages[pi++]));
+    }
+    prev = std::move(cur);
+  }
+  for (std::size_t i = 0; i < 2 * (leaves.size() - 1); ++i) {
+    for (const std::uint16_t sym : prev[i].symbols) ++lengths[sym];
+  }
+  return lengths;
+}
+
+/// A seeded frequency vector: ties, wide dynamic range, sparse alphabets
+/// and skewed (long-code) shapes, by `mode`.
+std::vector<std::uint64_t> oracle_freqs(Xoshiro256& rng, std::size_t n, int mode) {
+  std::vector<std::uint64_t> f(n, 0);
+  std::uint64_t fib_a = 1;
+  std::uint64_t fib_b = 1;
+  for (auto& v : f) {
+    switch (mode) {
+      case 0:  // many ties: a handful of distinct small weights
+        v = rng.bounded(4);
+        break;
+      case 1:  // wide dynamic range
+        v = std::uint64_t{1} << rng.bounded(24);
+        break;
+      case 2:  // sparse: mostly absent symbols
+        v = rng.bounded(8) == 0 ? 1 + rng.bounded(1000) : 0;
+        break;
+      case 3:  // Fibonacci runs: the shape that needs the length limit
+        v = fib_a;
+        fib_a = std::exchange(fib_b, fib_a + fib_b);
+        if (fib_a > (std::uint64_t{1} << 40)) fib_a = fib_b = 1;
+        break;
+      default:  // uniform counts, occasional ties
+        v = 1 + rng.bounded(64);
+        break;
+    }
+  }
+  return f;
+}
+
+TEST(Huffman, CodeLengthsMatchReferencePackageMerge) {
+  Xoshiro256 rng(0x5eed);
+  int compared = 0;
+  int rejected = 0;
+  for (int i = 0; i < 1400; ++i) {
+    const std::size_t n = 2 + rng.bounded(287);  // alphabets of 2..288 symbols
+    const int max_length = i % 2 == 0 ? 15 : 7;
+    const int mode = static_cast<int>(rng.bounded(5));
+    const std::vector<std::uint64_t> freqs = oracle_freqs(rng, n, mode);
+    SCOPED_TRACE("case " + std::to_string(i) + " n=" + std::to_string(n) +
+                 " mode=" + std::to_string(mode) + " max_length=" + std::to_string(max_length));
+    std::vector<std::uint8_t> want;
+    try {
+      want = reference_code_lengths(freqs, max_length);
+    } catch (const InvalidArgumentError&) {
+      EXPECT_THROW((void)build_code_lengths(freqs, max_length), InvalidArgumentError);
+      ++rejected;
+      continue;
+    }
+    ASSERT_EQ(build_code_lengths(freqs, max_length), want);
+    ++compared;
+  }
+  EXPECT_GE(compared, 1000);
+  EXPECT_GT(rejected, 0);  // max_length 7 with > 128 live symbols
+
+  // Degenerate alphabets: all-zero and single-symbol inputs.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{19}, std::size_t{288}}) {
+    for (const int max_length : {1, 7, 15}) {
+      const std::vector<std::uint64_t> zero(n, 0);
+      EXPECT_EQ(build_code_lengths(zero, max_length), reference_code_lengths(zero, max_length));
+      std::vector<std::uint64_t> one(n, 0);
+      one[n / 2] = 7;
+      EXPECT_EQ(build_code_lengths(one, max_length), reference_code_lengths(one, max_length));
+    }
+  }
+}
+
+TEST(Huffman, LengthLimitOutsideOneToFifteenRejected) {
+  const std::vector<std::uint64_t> freqs = {3, 1, 4, 1, 5};
+  for (const int max_length : {std::numeric_limits<int>::min(), -1, 0, 16, 31, 64}) {
+    EXPECT_THROW((void)build_code_lengths(freqs, max_length), InvalidArgumentError)
+        << "max_length=" << max_length;
+  }
+  EXPECT_NO_THROW((void)build_code_lengths(std::vector<std::uint64_t>{1, 1}, 1));
+  EXPECT_NO_THROW((void)build_code_lengths(freqs, 15));
+}
 
 TEST(Huffman, CodeLengthsSatisfyKraft) {
   std::vector<std::uint64_t> freqs = {45, 13, 12, 16, 9, 5};
@@ -125,7 +256,10 @@ TEST(Huffman, CanonicalCodesAreRfc1951Example) {
   const auto cc = CanonicalCode::from_lengths(lengths);
   const std::vector<std::uint16_t> want = {0b010, 0b011, 0b100,  0b101,
                                            0b110, 0b00,  0b1110, 0b1111};
-  EXPECT_EQ(cc.codes, want);
+  // Stored in stream order: each code bit-reversed over its length.
+  for (std::size_t s = 0; s < want.size(); ++s) {
+    EXPECT_EQ(cc.stream_codes[s], BitWriter::reverse(want[s], lengths[s])) << "symbol " << s;
+  }
 }
 
 TEST(Huffman, EncodeDecodeRoundTripAllSymbols) {
@@ -133,10 +267,9 @@ TEST(Huffman, EncodeDecodeRoundTripAllSymbols) {
   const auto cc = CanonicalCode::from_lengths(lengths);
   const HuffmanDecoder dec(lengths);
 
-  std::vector<std::byte> buf;
-  BitWriter bw(buf);
+  BitWriter bw;
   for (int s = 0; s < 8; ++s) cc.emit(bw, s);
-  bw.align_to_byte();
+  const Bytes buf = bw.finish();
 
   BitReader br(buf);
   for (int s = 0; s < 8; ++s) EXPECT_EQ(dec.decode(br), s);
@@ -156,10 +289,9 @@ TEST(Huffman, DecoderSlowPathForLongCodes) {
 
   const auto cc = CanonicalCode::from_lengths(lengths);
   const HuffmanDecoder dec(lengths);
-  std::vector<std::byte> buf;
-  BitWriter bw(buf);
+  BitWriter bw;
   for (int s = 0; s < 20; ++s) cc.emit(bw, s);
-  bw.align_to_byte();
+  const Bytes buf = bw.finish();
   BitReader br(buf);
   for (int s = 0; s < 20; ++s) EXPECT_EQ(dec.decode(br), s);
 }
@@ -374,6 +506,100 @@ TEST(Deflate, TruncatedStreamRejected) {
   EXPECT_THROW((void)deflate_decompress(comp), FormatError);
 }
 
+
+// ---------------------------------------------------------------------
+// Golden output: the encoder's bytes are part of its contract. Speed
+// work on LZ77, code construction or emission must not move one bit, so
+// the size and CRC-32 of deflate_compress are pinned on the checkpoint
+// payload and on the synthetic round-trip inputs.
+// ---------------------------------------------------------------------
+
+/// The fig9 formatted payload: the pre-entropy bytes the compressor
+/// hands to deflate for the paper's 1156x82x2 temperature field (seed
+/// 2015, default parameters), i.e. the tail of an EntropyMode::kNone
+/// stream.
+const Bytes& fig9_payload() {
+  static const Bytes payload = [] {
+    CompressionParams params;
+    params.entropy = EntropyMode::kNone;
+    const CompressedArray c =
+        WaveletCompressor(params).compress(make_temperature_field(Shape{1156, 82, 2}, 2015));
+    return Bytes(c.data.end() - static_cast<std::ptrdiff_t>(c.payload_bytes), c.data.end());
+  }();
+  return payload;
+}
+
+struct GoldenDigest {
+  std::string name;
+  std::size_t size;
+  std::uint32_t crc;
+  bool operator==(const GoldenDigest&) const = default;
+};
+
+std::vector<GoldenDigest> golden_digests() {
+  std::vector<GoldenDigest> out;
+  const auto add = [&out](std::string name, std::span<const std::byte> input, int level) {
+    const Bytes comp = deflate_compress(input, DeflateOptions{level});
+    out.push_back({std::move(name), comp.size(), crc32(comp)});
+  };
+  const Bytes& payload = fig9_payload();
+  for (const int level : {1, 6, 9}) add("fig9/L" + std::to_string(level), payload, level);
+  constexpr std::size_t kSlice = 2048;
+  for (std::size_t k = 0; k < 5; ++k) {
+    const std::size_t off = k * (payload.size() - kSlice) / 4;
+    add("fig9_2k@" + std::to_string(off), std::span(payload).subspan(off, kSlice), 6);
+  }
+  for (const auto& c : round_trip_cases()) add(c.name, c.data, 6);
+  const Bytes structured = structured_bytes(100000, 7);
+  for (const int level : {1, 6, 9}) add("structured/L" + std::to_string(level), structured, level);
+  return out;
+}
+
+// Recorded before the encoder's Huffman code construction, LZ77 chains and bit
+// emission were rewritten for speed; a mismatch means the bytes moved.
+const std::vector<GoldenDigest> kGolden = {
+    {"fig9/L1", 413170, 0x120d9051},
+    {"fig9/L6", 407185, 0xa2dae356},
+    {"fig9/L9", 406491, 0x2f96c098},
+    {"fig9_2k@0", 1967, 0x79b6ac0d},
+    {"fig9_2k@135657", 1865, 0xb5b8b6e5},
+    {"fig9_2k@271314", 560, 0xdf462f77},
+    {"fig9_2k@406971", 1913, 0x33a78751},
+    {"fig9_2k@542629", 1931, 0xc05604e9},
+    {"empty", 5, 0x4564cc52},
+    {"one_byte", 3, 0xcd9aca1f},
+    {"short_text", 16, 0xe80a1893},
+    {"all_same", 113, 0xaa601fa2},
+    {"random_small", 505, 0x005aadc8},
+    {"random_large", 300045, 0xc50687eb},
+    {"structured_large", 24895, 0xa3deeaa8},
+    {"all_byte_values", 349, 0x108329c4},
+    {"structured/L1", 9837, 0xf38954c9},
+    {"structured/L6", 8332, 0xe160d356},
+    {"structured/L9", 7382, 0x9e6d23a0},
+};
+
+// The fig9 rows depend on deflate's input too, which WaveletCompressor
+// builds; it is pinned on its own so a failure says which side moved.
+const GoldenDigest kFig9Payload = {"fig9 payload (deflate input)", 544677, 0x2144df1c};
+
+TEST(DeflateGolden, OutputBytesUnchanged) {
+  const Bytes& payload = fig9_payload();
+  const GoldenDigest input{kFig9Payload.name, payload.size(), crc32(payload)};
+  const bool input_same = input == kFig9Payload;
+  EXPECT_TRUE(input_same) << "the fig9 payload changed, not the deflate encoder: got {"
+                          << input.size << ", 0x" << std::hex << input.crc << "}";
+  const std::vector<GoldenDigest> got = golden_digests();
+  EXPECT_EQ(got.size(), kGolden.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const bool from_payload = got[i].name.starts_with("fig9");
+    EXPECT_TRUE(i < kGolden.size() && got[i] == kGolden[i])
+        << "got {\"" << got[i].name << "\", " << got[i].size << ", 0x" << std::hex << got[i].crc
+        << std::dec << "},"
+        << (from_payload && !input_same ? " (its input, the fig9 payload, changed)" : "");
+  }
+}
+
 // ---------------------------------------------------------------------
 // Containers
 // ---------------------------------------------------------------------
@@ -495,29 +721,24 @@ TEST(Zlib, CorruptHeaderRejected) {
 TEST(Deflate, CorruptBlockStructureRejected) {
   {
     // Reserved block type 11.
-    Bytes bad;
-    BitWriter bw(bad);
+    BitWriter bw;
     bw.put(1, 1);     // BFINAL
     bw.put(0b11, 2);  // BTYPE = reserved
-    bw.align_to_byte();
-    EXPECT_THROW((void)deflate_decompress(bad), FormatError);
+    EXPECT_THROW((void)deflate_decompress(bw.finish()), FormatError);
   }
   {
     // Stored block with LEN/NLEN mismatch.
-    Bytes bad;
-    BitWriter bw(bad);
+    BitWriter bw;
     bw.put(1, 1);
     bw.put(0b00, 2);
     bw.align_to_byte();
     bw.put(0x0004, 16);  // LEN = 4
     bw.put(0x1234, 16);  // NLEN != ~LEN
-    bw.align_to_byte();
-    EXPECT_THROW((void)deflate_decompress(bad), FormatError);
+    EXPECT_THROW((void)deflate_decompress(bw.finish()), FormatError);
   }
   {
     // Stored block whose LEN runs past the end of the stream.
-    Bytes bad;
-    BitWriter bw(bad);
+    BitWriter bw;
     bw.put(1, 1);
     bw.put(0b00, 2);
     bw.align_to_byte();
@@ -525,20 +746,17 @@ TEST(Deflate, CorruptBlockStructureRejected) {
     bw.put(len, 16);
     bw.put(static_cast<std::uint16_t>(~len), 16);
     bw.put(0xAB, 8);  // only 1 of the promised 1000 bytes
-    bw.align_to_byte();
-    EXPECT_THROW((void)deflate_decompress(bad), FormatError);
+    EXPECT_THROW((void)deflate_decompress(bw.finish()), FormatError);
   }
   {
     // Dynamic block with HLIT beyond the 286-symbol alphabet.
-    Bytes bad;
-    BitWriter bw(bad);
+    BitWriter bw;
     bw.put(1, 1);
     bw.put(0b10, 2);
     bw.put(31, 5);  // HLIT = 288 > 286
     bw.put(0, 5);
     bw.put(0, 4);
-    bw.align_to_byte();
-    EXPECT_THROW((void)deflate_decompress(bad), FormatError);
+    EXPECT_THROW((void)deflate_decompress(bw.finish()), FormatError);
   }
   {
     // Truncated mid code-length tables.
@@ -556,14 +774,12 @@ TEST(Deflate, MatchDistanceBeforeStreamStartRejected) {
   // Fixed-Huffman block whose first symbol is a match: the distance
   // necessarily reaches before the (empty) output. Symbol 257 (len 3) is
   // code 0b0000001 (7 bits); distance code 0 is 00000 (5 bits).
-  Bytes bad;
-  BitWriter bw(bad);
+  BitWriter bw;
   bw.put(1, 1);
   bw.put(0b01, 2);
-  bw.put_huffman(0b0000001, 7);  // litlen symbol 257: length 3
-  bw.put_huffman(0b00000, 5);    // distance symbol 0: distance 1
-  bw.align_to_byte();
-  EXPECT_THROW((void)deflate_decompress(bad), FormatError);
+  bw.put(BitWriter::reverse(0b0000001, 7), 7);  // litlen symbol 257: length 3
+  bw.put(BitWriter::reverse(0b00000, 5), 5);    // distance symbol 0: distance 1
+  EXPECT_THROW((void)deflate_decompress(bw.finish()), FormatError);
 }
 
 // ---------------------------------------------------------------------
@@ -598,6 +814,25 @@ TEST(ZlibInterop, ReferenceDecodesOurStreams) {
     SCOPED_TRACE(c.name);
     const Bytes ours = zlib_compress(c.data);
     EXPECT_EQ(zlib_ref_decompress(ours, c.data.size()), c.data);
+  }
+  // The checkpoint payload at every level, and the small-put regime:
+  // 256 B..2 KiB slices of it.
+  const Bytes& payload = fig9_payload();
+  for (int level = 1; level <= 9; ++level) {
+    const Bytes ours = zlib_compress(payload, DeflateOptions{level});
+    EXPECT_TRUE(zlib_ref_decompress(ours, payload.size()) == payload) << "level=" << level;
+  }
+  for (const std::size_t len : {std::size_t{256}, std::size_t{700}, std::size_t{1024},
+                                std::size_t{1500}, std::size_t{2048}}) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      const std::size_t off = k * (payload.size() - len) / 3;
+      const auto slice = std::span(payload).subspan(off, len);
+      for (const int level : {1, 6, 9}) {
+        const Bytes ours = zlib_compress(slice, DeflateOptions{level});
+        EXPECT_TRUE(std::ranges::equal(zlib_ref_decompress(ours, len), slice))
+            << "len=" << len << " off=" << off << " level=" << level;
+      }
+    }
   }
 }
 

@@ -131,24 +131,22 @@ TEST(ByteWriter, ExternalBufferAppends) {
 }
 
 TEST(BitIo, SingleBitsRoundTrip) {
-  std::vector<std::byte> buf;
-  BitWriter bw(buf);
+  BitWriter bw;
   const int pattern[] = {1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1};
   for (const int b : pattern) bw.put(static_cast<std::uint32_t>(b), 1);
-  bw.align_to_byte();
+  const Bytes buf = bw.finish();
 
   BitReader br(buf);
   for (const int b : pattern) EXPECT_EQ(br.get(1), static_cast<std::uint32_t>(b));
 }
 
 TEST(BitIo, MultiBitFieldsRoundTrip) {
-  std::vector<std::byte> buf;
-  BitWriter bw(buf);
+  BitWriter bw;
   bw.put(0b101, 3);
   bw.put(0xFFFF, 16);
   bw.put(0, 0);  // zero-width write is a no-op
   bw.put(0x12345, 20);
-  bw.align_to_byte();
+  const Bytes buf = bw.finish();
 
   BitReader br(buf);
   EXPECT_EQ(br.get(3), 0b101u);
@@ -157,10 +155,9 @@ TEST(BitIo, MultiBitFieldsRoundTrip) {
 }
 
 TEST(BitIo, PeekDoesNotConsume) {
-  std::vector<std::byte> buf;
-  BitWriter bw(buf);
+  BitWriter bw;
   bw.put(0x5A, 8);
-  bw.align_to_byte();
+  const Bytes buf = bw.finish();
   BitReader br(buf);
   EXPECT_EQ(br.peek(4), 0xAu);
   EXPECT_EQ(br.peek(4), 0xAu);
@@ -173,35 +170,107 @@ TEST(BitIo, ReverseBits) {
   EXPECT_EQ(BitWriter::reverse(0b1101, 4), 0b1011u);
 }
 
+/// Bit-at-a-time model of BitWriter: one vector entry per bit.
+class ReferenceBitWriter {
+ public:
+  void put(std::uint32_t bits, int count) {
+    for (int i = 0; i < count; ++i) bits_.push_back(((bits >> i) & 1u) != 0);
+  }
+  void put_huffman(std::uint32_t code, int length) {
+    for (int i = length - 1; i >= 0; --i) bits_.push_back(((code >> i) & 1u) != 0);
+  }
+  void align_to_byte() {
+    while (bits_.size() % 8 != 0) bits_.push_back(false);
+  }
+  [[nodiscard]] std::size_t bit_count() const { return bits_.size(); }
+  [[nodiscard]] Bytes bytes() const {
+    Bytes out((bits_.size() + 7) / 8, std::byte{0});
+    for (std::size_t i = 0; i < bits_.size(); ++i) {
+      if (bits_[i]) out[i / 8] |= static_cast<std::byte>(1u << (i % 8));
+    }
+    return out;
+  }
+
+ private:
+  std::vector<bool> bits_;
+};
+
+TEST(BitIo, WriterMatchesBitAtATimeReference) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Xoshiro256 rng(seed);
+    BitWriter bw;
+    ReferenceBitWriter ref;
+    for (int op = 0; op < 2000; ++op) {
+      const auto kind = rng.bounded(16);
+      if (kind == 0) {
+        bw.align_to_byte();
+        ref.align_to_byte();
+      } else if (kind < 6) {
+        // A Huffman code as CanonicalCode emits it: stored bit-reversed.
+        const int length = 1 + static_cast<int>(rng.bounded(15));
+        const auto code = static_cast<std::uint32_t>(rng.bounded(std::uint64_t{1} << length));
+        bw.put(BitWriter::reverse(code, length), length);
+        ref.put_huffman(code, length);
+      } else {
+        const int count = static_cast<int>(rng.bounded(33));  // 0..32
+        const auto bits = static_cast<std::uint32_t>(rng());
+        bw.put(bits, count);
+        ref.put(bits, count);
+      }
+      ASSERT_EQ(bw.bit_count(), ref.bit_count()) << "seed=" << seed << " op=" << op;
+    }
+    ref.align_to_byte();
+    EXPECT_EQ(bw.finish(), ref.bytes()) << "seed=" << seed;
+  }
+}
+
 TEST(BitIo, PutZeroCountWritesNothing) {
-  Bytes buf;
-  BitWriter bw(buf);
+  BitWriter bw;
   // mask(0) is empty: the value operand must be ignored entirely.
   bw.put(0xFFFFFFFFu, 0);
   EXPECT_EQ(bw.bit_count(), 0u);
   bw.put(0b101, 3);
   bw.put(0xDEADBEEFu, 0);
-  bw.align_to_byte();
+  const Bytes buf = bw.finish();
   ASSERT_EQ(buf.size(), 1u);
   EXPECT_EQ(static_cast<std::uint8_t>(buf[0]), 0b101u);
 }
 
 TEST(BitIo, PutFullWordRoundTrips) {
-  Bytes buf;
-  BitWriter bw(buf);
+  BitWriter bw;
   bw.put(0xDEADBEEFu, 32);  // count == 32 must not overflow the mask
   bw.put(1, 1);             // force a non-aligned tail over the 32-bit put
   bw.put(0xCAFEBABEu, 32);
-  bw.align_to_byte();
+  const Bytes buf = bw.finish();
   BitReader br(buf);
   EXPECT_EQ(br.get(32), 0xDEADBEEFu);
   EXPECT_EQ(br.get(1), 1u);
   EXPECT_EQ(br.get(32), 0xCAFEBABEu);
 }
 
+TEST(BitIo, FinishHandsOverEveryPendingBit) {
+  // 31 + 31 bits: one 32-bit flush reaches the buffer, 30 bits stay in
+  // the accumulator; finish() must emit them as 4 more bytes.
+  BitWriter bw(Bytes{std::byte{0x11}});
+  bw.put(0x7FFFFFFFu, 31);
+  bw.put(0x2AAAAAAAu, 31);
+  EXPECT_EQ(bw.bit_count(), 8u + 62u);
+  const Bytes buf = bw.finish();
+  ASSERT_EQ(buf.size(), 1u + 8u);
+  EXPECT_EQ(buf[0], std::byte{0x11});  // the prefix is kept in front
+  BitReader br(buf);
+  EXPECT_EQ(br.get(8), 0x11u);
+  EXPECT_EQ(br.get(31), 0x7FFFFFFFu);
+  EXPECT_EQ(br.get(31), 0x2AAAAAAAu);
+  EXPECT_EQ(br.get(2), 0u);  // zero padding
+  // The writer is empty afterwards and can start a new stream.
+  EXPECT_EQ(bw.bit_count(), 0u);
+  bw.put(0x3, 2);
+  EXPECT_EQ(bw.finish(), Bytes{std::byte{0x03}});
+}
+
 TEST(BitIo, WriterRejectsCountOutOfRange) {
-  Bytes buf;
-  BitWriter bw(buf);
+  BitWriter bw;
   EXPECT_THROW(bw.put(0, -1), InvalidArgumentError);
   EXPECT_THROW(bw.put(0, 33), InvalidArgumentError);
   EXPECT_THROW(bw.put(0, 64), InvalidArgumentError);
@@ -230,12 +299,12 @@ TEST(BitIo, TruncatedReadThrows) {
 }
 
 TEST(BitIo, AlignedRawReadAfterBits) {
-  std::vector<std::byte> buf;
-  BitWriter bw(buf);
+  BitWriter bw;
   bw.put(0b1, 1);
   bw.align_to_byte();
   bw.put(0xAB, 8);
   bw.put(0xCD, 8);
+  const Bytes buf = bw.finish();
 
   BitReader br(buf);
   EXPECT_EQ(br.get(1), 1u);

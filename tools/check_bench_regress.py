@@ -25,6 +25,12 @@ Exceptions — baseline-less records that are self-baselining:
     (bench/micro_deflate): the gate checks that the sharded
     parallel-deflate container is no more than --sharded-tol (default
     2%) larger than the serial stream compressed from the same input.
+    The same records are held to system zlib's speed when they carry
+    its rows (serial_compress_s, zlib_compress_s, call_us,
+    zlib_call_us; bench/micro_deflate built with zlib): serial compress
+    may take at most ZLIB_TIME_MULT (1.25x) zlib level 6's time on the
+    same payload, and one 2 KB call at most ZLIB_CALL_MULT (2x) zlib's.
+    Without those params the check prints "skipped (no zlib row)".
   * a record carrying simd_best_level in its params
     (bench/micro_kernels): on vector-capable hardware (best level is
     not "scalar") at least --simd-min-kernels of the speedup_<kernel>
@@ -47,6 +53,9 @@ import sys
 
 STRICT_KEYS = ("compressed", "payload")
 STRICT_ERROR_KEYS = ("mean_rel", "max_rel", "rmse")
+ZLIB_KEYS = ("serial_compress_s", "zlib_compress_s", "call_us", "zlib_call_us")
+ZLIB_TIME_MULT = 1.25  # serial deflate time over zlib level 6's, same payload
+ZLIB_CALL_MULT = 2.0   # one 2 KB deflate call over zlib's
 
 
 def load_records(path):
@@ -165,7 +174,39 @@ class Gate:
         if drift > self.sharded_tol:
             self.fail(f"{name}: sharded container {drift:+.2%} larger than serial "
                       f"({serial} -> {sharded}, tolerance +{self.sharded_tol:.0%})")
+        self.check_zlib_speed(name, params)
         return True
+
+    def check_zlib_speed(self, name, params):
+        """Self-baselining speed check against system zlib on the same input."""
+        present = [k for k in ZLIB_KEYS if k in params]
+        if not present:
+            print(f"{name}: zlib speed check skipped (no zlib row)")
+            return
+        self.checks += 1
+        if len(present) != len(ZLIB_KEYS):
+            missing = ", ".join(k for k in ZLIB_KEYS if k not in params)
+            self.fail(f"{name}: zlib row incomplete (missing {missing})")
+            return
+        try:
+            v = {k: float(params[k]) for k in ZLIB_KEYS}
+        except (TypeError, ValueError):
+            self.fail(f"{name}: zlib row params are not numbers "
+                      f"({ {k: params[k] for k in ZLIB_KEYS} })")
+            return
+        if v["zlib_compress_s"] <= 0 or v["zlib_call_us"] <= 0:
+            self.fail(f"{name}: zlib reference times must be positive "
+                      f"({v['zlib_compress_s']}, {v['zlib_call_us']})")
+            return
+        serial_ratio = v["serial_compress_s"] / v["zlib_compress_s"]
+        if serial_ratio > ZLIB_TIME_MULT:
+            self.fail(f"{name}: serial deflate takes {serial_ratio:.2f}x zlib level 6's time "
+                      f"(limit {ZLIB_TIME_MULT:g}x)")
+        call_ratio = v["call_us"] / v["zlib_call_us"]
+        if call_ratio > ZLIB_CALL_MULT:
+            self.fail(f"{name}: a 2 KB deflate call costs {call_ratio:.2f}x zlib's "
+                      f"({v['call_us']:.1f} vs {v['zlib_call_us']:.1f} us, "
+                      f"limit {ZLIB_CALL_MULT:g}x)")
 
     def check_simd_speedup(self, name, record):
         """Self-baselining check for SIMD kernel throughput records.
