@@ -9,17 +9,18 @@
 // per-process array, not synthetic bytes — compression ratio and speed
 // are representative of what fig9's gzip stage sees.
 //
-// When the system zlib is available, two reference rows follow: zlib
-// level 6 on the same payload, and the per-call cost of ours and zlib's
-// on 2 KB slices of it (the small-put regime, where fixed per-call costs
-// dominate).
+// When the system zlib is available, reference rows follow: zlib level 6
+// on the same payload, zlib's uncompress on the serial stream, and the
+// per-call cost of ours and zlib's on 2 KB slices of it, compressing and
+// inflating (the small-put regime, where fixed per-call costs dominate).
 //
 // Emits a wck-bench-record (--bench-json[=PATH]) with throughput gauges
 // (deflate.serial.compress.mbps, deflate.sharded.t<N>.compress.mbps,
 // ...), the serial/sharded byte sizes in report.params for the
 // check_bench_regress.py sharded-drift gate, and (with zlib) the
-// serial_compress_s / zlib_compress_s / call_us / zlib_call_us params
-// for its zlib-relative speed gate.
+// serial_compress_s / zlib_compress_s / call_us / zlib_call_us and
+// serial_decompress_s / zlib_decompress_s params for its zlib-relative
+// speed gates.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -213,12 +214,45 @@ int main(int argc, char** argv) {
   WCK_GAUGE_SET("deflate.call_us", ours_call_s * 1e6);
   WCK_GAUGE_SET("deflate.zlib_ref.call_us", zlib_call_s * 1e6);
 
-  // The regress gate holds serial <= 1.25x zlib's time and the per-call
-  // cost <= 2x zlib's; records without these params skip that check.
+  // --- inflate: system zlib's uncompress on the same serial stream, and
+  // per call on the 2 KB slices' streams, each next to ours.
+  std::vector<Bytef> inflated(payload.size());
+  const auto zlib_inflate = [&inflated](std::span<const std::byte> stream) {
+    uLongf out_len = static_cast<uLongf>(inflated.size());
+    if (uncompress(inflated.data(), &out_len, reinterpret_cast<const Bytef*>(stream.data()),
+                   static_cast<uLong>(stream.size())) != Z_OK) {
+      std::fprintf(stderr, "FATAL: system zlib uncompress failed\n");
+      std::exit(1);
+    }
+  };
+  const double zlib_decomp_s = best_seconds(repeats, [&] { zlib_inflate(serial); });
+  std::printf("%-22s %10.1f MB/s decomp  (serial takes %.2fx its time)\n", "system zlib inflate",
+              mbps(payload.size(), zlib_decomp_s), serial_decomp_s / zlib_decomp_s);
+  WCK_GAUGE_SET("deflate.zlib_ref.decompress.mbps", mbps(payload.size(), zlib_decomp_s));
+
+  std::vector<Bytes> slice_streams(slices);
+  for (std::size_t i = 0; i < slices; ++i) slice_streams[i] = zlib_compress(slice(i), {});
+  const double ours_inflate_call_s = best_seconds(repeats, [&] {
+    for (const Bytes& s : slice_streams) (void)zlib_decompress(s);
+  }) / static_cast<double>(slices);
+  const double zlib_inflate_call_s = best_seconds(repeats, [&] {
+    for (const Bytes& s : slice_streams) zlib_inflate(s);
+  }) / static_cast<double>(slices);
+  std::printf("%-22s %10.1f us/call ours %8.1f us/call zlib  (%.2fx)\n", "2 KB inflate call",
+              ours_inflate_call_s * 1e6, zlib_inflate_call_s * 1e6,
+              ours_inflate_call_s / zlib_inflate_call_s);
+  WCK_GAUGE_SET("inflate.call_us", ours_inflate_call_s * 1e6);
+  WCK_GAUGE_SET("inflate.zlib_ref.call_us", zlib_inflate_call_s * 1e6);
+
+  // The regress gate holds serial compress and inflate <= 1.25x zlib's
+  // time and the per-call compress cost <= 2x zlib's; records without
+  // these params skip those checks.
   report.params["serial_compress_s"] = std::to_string(serial_comp_s);
   report.params["zlib_compress_s"] = std::to_string(zlib_comp_s);
   report.params["call_us"] = std::to_string(ours_call_s * 1e6);
   report.params["zlib_call_us"] = std::to_string(zlib_call_s * 1e6);
+  report.params["serial_decompress_s"] = std::to_string(serial_decomp_s);
+  report.params["zlib_decompress_s"] = std::to_string(zlib_decomp_s);
 #endif
   report.original_bytes = payload.size();
   report.compressed_bytes = sharded_reference.size();

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <optional>
+#include <string>
 
 #include "deflate/deflate_tables.hpp"
 #include "deflate/huffman.hpp"
@@ -313,9 +313,30 @@ Bytes deflate_compress(std::span<const std::byte> input, const DeflateOptions& o
 
 namespace {
 
-/// Reads the dynamic-block code-length tables (RFC 1951 3.2.7).
-void read_dynamic_tables(BitReader& br, std::vector<std::uint8_t>& litlen_lengths,
-                         std::vector<std::uint8_t>& dist_lengths) {
+using Entry = HuffmanDecoder::Entry;
+
+/// Writable bytes kept past the output's limit: a symbol that starts at
+/// or before the limit fits in them whole, a match copied 8 bytes at a
+/// time included.
+constexpr std::size_t kSlack = dt::kMaxMatch + 8;
+
+/// Makes `out` hold at least `pos + need` bytes before its slack. With an
+/// expected size the buffer was sized to it once, so needing more is an
+/// error; otherwise the buffer doubles.
+void make_room(Bytes& out, std::size_t pos, std::size_t need, std::size_t expected_size) {
+  std::size_t capacity = out.size() - kSlack;
+  if (pos + need <= capacity) return;
+  if (expected_size != 0) {
+    throw FormatError("deflate stream inflates past its expected " +
+                      std::to_string(expected_size) + " bytes");
+  }
+  while (capacity < pos + need) capacity *= 2;
+  out.resize(capacity + kSlack);
+}
+
+/// Reads the dynamic-block code-length tables (RFC 1951 3.2.7) and builds
+/// the block's two decoders from them.
+void read_dynamic_tables(BitReader& br, HuffmanDecoder& litlen, HuffmanDecoder& dist) {
   const std::uint32_t hlit = br.get(5) + 257;
   const std::uint32_t hdist = br.get(5) + 1;
   const std::uint32_t hclen = br.get(4) + 4;
@@ -348,21 +369,89 @@ void read_dynamic_tables(BitReader& br, std::vector<std::uint8_t>& litlen_length
   if (combined.size() != hlit + hdist) {
     throw FormatError("code length repeat overflows alphabet");
   }
-  litlen_lengths.assign(combined.begin(), combined.begin() + hlit);
-  dist_lengths.assign(combined.begin() + hlit, combined.end());
+  litlen.build(std::span(combined).first(hlit));
+  dist.build(std::span(combined).subspan(hlit), /*allow_incomplete=*/true);
+}
+
+/// Decodes the symbols of one Huffman-coded block into `out` from `pos`
+/// on, and returns the position after them.
+std::size_t inflate_block(BitReader& br, const HuffmanDecoder& litlen,
+                          const HuffmanDecoder& dist, Bytes& out, std::size_t pos,
+                          std::size_t expected_size) {
+  // Local copies: output stores through std::byte* may alias anything
+  // reached through a reference, so state kept there would be reloaded
+  // after every byte written.
+  BitReader in = br;
+  std::byte* base = out.data();
+  std::byte* op = base + pos;
+  std::byte* lim = base + out.size() - kSlack;
+  for (;;) {
+    if (op > lim) {
+      pos = static_cast<std::size_t>(op - base);
+      make_room(out, pos, 0, expected_size);
+      base = out.data();
+      op = base + pos;
+      lim = base + out.size() - kSlack;
+    }
+    // One refill covers a length/distance pair: at most 48 bits.
+    in.refill();
+    const Entry sym = litlen.lookup(in.bits());
+    in.consume(sym.length);
+    if (sym.extra == HuffmanDecoder::kLiteral) {
+      *op++ = static_cast<std::byte>(sym.value);
+      continue;
+    }
+    if (sym.extra == HuffmanDecoder::kEndOfBlock) break;
+
+    const std::size_t len = sym.value + (in.bits() & ((std::uint64_t{1} << sym.extra) - 1));
+    in.consume(sym.extra);
+    const Entry dsym = dist.lookup(in.bits());
+    in.consume(dsym.length);
+    const std::size_t distance =
+        dsym.value + (in.bits() & ((std::uint64_t{1} << dsym.extra) - 1));
+    in.consume(dsym.extra);
+    if (distance > static_cast<std::size_t>(op - base)) {
+      throw FormatError("distance reaches before start of output");
+    }
+    const std::byte* src = op - distance;
+    std::byte* const stop = op + len;
+    if (distance >= 8) {
+      // The source of each 8-byte chunk lies wholly before its
+      // destination; the last chunk may spill into the slack.
+      do {
+        std::memcpy(op, src, 8);
+        op += 8;
+        src += 8;
+      } while (op < stop);
+    } else {
+      // Overlapping copy: the bytes repeat with period `distance`.
+      do {
+        *op++ = *src++;
+      } while (op < stop);
+    }
+    op = stop;
+  }
+  br = in;
+  return static_cast<std::size_t>(op - base);
 }
 
 }  // namespace
 
-Bytes deflate_decompress(std::span<const std::byte> input, std::size_t size_hint) {
-  Bytes out;
-  out.reserve(size_hint);
+Bytes deflate_decompress(std::span<const std::byte> input, std::size_t expected_size) {
+  Bytes out(
+      (expected_size != 0 ? expected_size : std::max<std::size_t>(4 * input.size(), 4096)) +
+      kSlack);
+  std::size_t pos = 0;
   BitReader br(input);
 
   static const auto kFixedLit = dt::fixed_litlen_lengths();
   static const auto kFixedDist = dt::fixed_dist_lengths();
-  static const HuffmanDecoder kFixedLitDec{std::span(kFixedLit)};
-  static const HuffmanDecoder kFixedDistDec{std::span(kFixedDist)};
+  static const HuffmanDecoder kFixedLitDec{std::span(kFixedLit), /*allow_incomplete=*/false,
+                                           HuffmanDecoder::Alphabet::kLitLen};
+  static const HuffmanDecoder kFixedDistDec{std::span(kFixedDist), /*allow_incomplete=*/false,
+                                            HuffmanDecoder::Alphabet::kDistance};
+  HuffmanDecoder dyn_lit(HuffmanDecoder::Alphabet::kLitLen);
+  HuffmanDecoder dyn_dist(HuffmanDecoder::Alphabet::kDistance);
 
   bool final_block = false;
   while (!final_block) {
@@ -374,52 +463,26 @@ Bytes deflate_decompress(std::span<const std::byte> input, std::size_t size_hint
       const std::uint32_t len = br.get(16);
       const std::uint32_t nlen = br.get(16);
       if ((len ^ nlen) != 0xFFFFu) throw FormatError("stored block LEN/NLEN mismatch");
-      const std::size_t pos = out.size();
-      out.resize(pos + len);
+      make_room(out, pos, len, expected_size);
       br.read_aligned(out.data() + pos, len);
+      pos += len;
       continue;
     }
     if (btype == 0b11) throw FormatError("reserved block type 11");
 
-    const HuffmanDecoder* lit_dec = &kFixedLitDec;
-    const HuffmanDecoder* dist_dec = &kFixedDistDec;
-    std::optional<HuffmanDecoder> dyn_lit;
-    std::optional<HuffmanDecoder> dyn_dist;
     if (btype == 0b10) {  // dynamic
-      std::vector<std::uint8_t> litlen_lengths;
-      std::vector<std::uint8_t> dist_lengths;
-      read_dynamic_tables(br, litlen_lengths, dist_lengths);
-      dyn_lit.emplace(std::span(litlen_lengths));
-      dyn_dist.emplace(std::span(dist_lengths), /*allow_incomplete=*/true);
-      lit_dec = &*dyn_lit;
-      dist_dec = &*dyn_dist;
-    }
-
-    for (;;) {
-      const int sym = lit_dec->decode(br);
-      if (sym < 256) {
-        out.push_back(static_cast<std::byte>(sym));
-      } else if (sym == dt::kEndOfBlock) {
-        break;
-      } else {
-        if (sym > 285) throw FormatError("invalid length symbol");
-        const auto& le = dt::kLengthCodes[static_cast<std::size_t>(sym - 257)];
-        const int len = le.base + static_cast<int>(br.get(le.extra));
-        const int dsym = dist_dec->decode(br);
-        if (dsym > 29) throw FormatError("invalid distance symbol");
-        const auto& de = dt::kDistCodes[static_cast<std::size_t>(dsym)];
-        const int dist = de.base + static_cast<int>(br.get(de.extra));
-        if (static_cast<std::size_t>(dist) > out.size()) {
-          throw FormatError("distance reaches before start of output");
-        }
-        // Overlapped copy semantics: byte-by-byte from `dist` back.
-        const std::size_t start = out.size() - static_cast<std::size_t>(dist);
-        for (int i = 0; i < len; ++i) {
-          out.push_back(out[start + static_cast<std::size_t>(i)]);
-        }
-      }
+      read_dynamic_tables(br, dyn_lit, dyn_dist);
+      pos = inflate_block(br, dyn_lit, dyn_dist, out, pos, expected_size);
+    } else {
+      pos = inflate_block(br, kFixedLitDec, kFixedDistDec, out, pos, expected_size);
     }
   }
+  if (br.overrun()) throw FormatError("bit stream truncated");
+  if (expected_size != 0 && pos != expected_size) {
+    throw FormatError("deflate stream inflates to " + std::to_string(pos) +
+                      " bytes, expected " + std::to_string(expected_size));
+  }
+  out.resize(pos);
   return out;
 }
 

@@ -28,9 +28,11 @@ struct DeflateOptions {
                                      const DeflateOptions& options = {});
 
 /// Decompresses a raw DEFLATE stream. Throws FormatError on malformed
-/// input. `size_hint` pre-reserves the output buffer.
+/// input. A nonzero `expected_size` is the exact decoded size: the output
+/// is sized to it once, and a stream that would write past it throws as
+/// soon as it does, as does one that ends short. 0 means unknown.
 [[nodiscard]] Bytes deflate_decompress(std::span<const std::byte> input,
-                                       std::size_t size_hint = 0);
+                                       std::size_t expected_size = 0);
 
 /// Compresses to a gzip member (magic, deflate body, CRC-32, ISIZE).
 [[nodiscard]] Bytes gzip_compress(std::span<const std::byte> input,

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <string>
 
+#include "deflate/deflate_tables.hpp"
 #include "util/error.hpp"
 
 namespace wck {
@@ -122,7 +123,41 @@ CanonicalCode CanonicalCode::from_lengths(std::span<const std::uint8_t> lengths)
   return cc;
 }
 
-HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths, bool allow_incomplete) {
+namespace {
+
+using Entry = HuffmanDecoder::Entry;
+
+/// What `symbol` of `alphabet` decodes to, code length left 0; reserved
+/// DEFLATE symbols get the slow entry so that lookup() rejects them.
+Entry symbol_entry(HuffmanDecoder::Alphabet alphabet, std::size_t symbol) {
+  namespace dt = deflate_tables;
+  const auto sym = static_cast<std::uint16_t>(symbol);
+  switch (alphabet) {
+    case HuffmanDecoder::Alphabet::kSymbols:
+      return {sym, 0, HuffmanDecoder::kLiteral};
+    case HuffmanDecoder::Alphabet::kLitLen:
+      if (symbol < 256) return {sym, 0, HuffmanDecoder::kLiteral};
+      if (symbol == dt::kEndOfBlock) return {0, 0, HuffmanDecoder::kEndOfBlock};
+      if (symbol - 257 < dt::kLengthCodes.size()) {
+        const auto& c = dt::kLengthCodes[symbol - 257];
+        return {c.base, 0, c.extra};
+      }
+      break;
+    case HuffmanDecoder::Alphabet::kDistance:
+      if (symbol < dt::kDistCodes.size()) {
+        const auto& c = dt::kDistCodes[symbol];
+        return {c.base, 0, c.extra};
+      }
+      break;
+  }
+  return {0, 0, HuffmanDecoder::kSlow};
+}
+
+}  // namespace
+
+void HuffmanDecoder::build(std::span<const std::uint8_t> lengths, bool allow_incomplete) {
+  std::fill(std::begin(count_), std::end(count_), 0);
+  max_len_ = 0;
   std::size_t n_used = 0;
   for (const std::uint8_t l : lengths) {
     if (l > 15) throw FormatError("Huffman code length exceeds 15 bits");
@@ -132,17 +167,14 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths, bool allow
       ++n_used;
     }
   }
-  if (n_used == 0) {
-    // Degenerate empty code: decode() always fails. DEFLATE tolerates
-    // this for distance codes in blocks that emit no matches.
-    return;
-  }
 
-  // Kraft sum check.
+  // Kraft sum check. An empty code (n_used == 0) passes as incomplete:
+  // DEFLATE tolerates it for distance codes in blocks that emit no
+  // matches, and any decode with it throws.
   std::uint32_t kraft = 0;  // in units of 2^-15
   for (int l = 1; l <= 15; ++l) kraft += count_[l] << (15 - l);
   if (kraft > (1u << 15)) throw FormatError("over-subscribed Huffman code");
-  if (kraft < (1u << 15) && !(allow_incomplete && n_used == 1)) {
+  if (n_used > 0 && kraft < (1u << 15) && !(allow_incomplete && n_used == 1)) {
     throw FormatError("incomplete Huffman code");
   }
 
@@ -158,47 +190,51 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths, bool allow
   }
 
   sym_by_code_.resize(n_used);
-  {
-    std::uint32_t next_index[16];
-    std::copy(std::begin(first_index_), std::end(first_index_), std::begin(next_index));
-    for (std::size_t s = 0; s < lengths.size(); ++s) {
-      const std::uint8_t l = lengths[s];
-      if (l > 0) sym_by_code_[next_index[l]++] = static_cast<std::uint16_t>(s);
-    }
+  std::uint32_t next_index[16];
+  std::copy(std::begin(first_index_), std::end(first_index_), std::begin(next_index));
+  for (std::size_t s = 0; s < lengths.size(); ++s) {
+    const std::uint8_t l = lengths[s];
+    if (l > 0) sym_by_code_[next_index[l]++] = static_cast<std::uint16_t>(s);
   }
 
-  // Fast table: index = next kFastBits of the stream (LSB-first). Codes
-  // are MSB-first, so a code c of length l maps to all indices whose low
-  // l bits equal reverse(c, l).
-  fast_.assign(std::size_t{1} << kFastBits, FastEntry{});
-  for (int l = 1; l <= std::min(max_len_, kFastBits); ++l) {
+  // Direct table: index = next table_bits bits of the stream (LSB-first).
+  // Codes are MSB-first, so a code c of length l fills every index whose
+  // low l bits equal reverse(c, l). Slots no short code fills stay slow.
+  const int table_bits = std::min(max_len_, alphabet_ == Alphabet::kDistance ? 9 : 11);
+  mask_ = (std::uint64_t{1} << table_bits) - 1;
+  table_.assign(std::size_t{1} << table_bits, Entry{0, 0, kSlow});
+  for (int l = 1; l <= table_bits; ++l) {
     for (std::uint32_t k = 0; k < count_[l]; ++k) {
-      const std::uint32_t c = first_code_[l] + k;
       const std::uint16_t sym = sym_by_code_[first_index_[l] + k];
-      const std::uint32_t rev = BitWriter::reverse(c, l);
+      Entry e = symbol_entry(alphabet_, sym);
+      if (e.extra == kSlow) continue;
+      e.length = static_cast<std::uint8_t>(l);
       const std::uint32_t step = 1u << l;
-      for (std::uint32_t idx = rev; idx < fast_.size(); idx += step) {
-        fast_[idx] = FastEntry{static_cast<std::int16_t>(sym), static_cast<std::uint8_t>(l)};
+      for (std::uint32_t idx = BitWriter::reverse(first_code_[l] + k, l); idx < table_.size();
+           idx += step) {
+        table_[idx] = e;
       }
     }
   }
 }
 
-int HuffmanDecoder::decode(BitReader& br) const {
+Entry HuffmanDecoder::resolve(std::uint64_t bits) const {
   if (max_len_ == 0) throw FormatError("decode with empty Huffman code");
-  const std::uint32_t window = br.peek(kFastBits);
-  const FastEntry& fe = fast_[window];
-  if (fe.symbol >= 0) {
-    br.consume(fe.length);
-    return fe.symbol;
-  }
-  // Slow path: canonical walk, one bit (MSB-first code bit) at a time.
-  // Re-read from scratch: consume bits as we walk.
+  // Canonical walk over the buffered bits, one MSB-first code bit at a
+  // time; unsigned wrap makes `code - first` < count a range test.
   std::uint32_t code = 0;
   for (int l = 1; l <= max_len_; ++l) {
-    code = (code << 1) | br.get(1);
-    if (count_[l] != 0 && code >= first_code_[l] && code < first_code_[l] + count_[l]) {
-      return sym_by_code_[first_index_[l] + (code - first_code_[l])];
+    code = (code << 1) | static_cast<std::uint32_t>((bits >> (l - 1)) & 1u);
+    const std::uint32_t offset = code - first_code_[l];
+    if (offset < count_[l]) {
+      const std::uint16_t sym = sym_by_code_[first_index_[l] + offset];
+      Entry e = symbol_entry(alphabet_, sym);
+      if (e.extra == kSlow) {
+        throw FormatError(alphabet_ == Alphabet::kDistance ? "invalid distance symbol"
+                                                           : "invalid length symbol");
+      }
+      e.length = static_cast<std::uint8_t>(l);
+      return e;
     }
   }
   throw FormatError("invalid Huffman code in stream");

@@ -1,6 +1,7 @@
 #include "deflate/huffman_only.hpp"
 
 #include <array>
+#include <string>
 
 #include "deflate/huffman.hpp"
 #include "util/bitio.hpp"
@@ -74,12 +75,16 @@ Bytes huffman_only_decompress(std::span<const std::byte> input) {
   // allow_incomplete: a single-symbol input yields a one-code tree.
   const HuffmanDecoder decoder{std::span<const std::uint8_t>(lengths), /*allow_incomplete=*/true};
 
-  Bytes out;
-  out.reserve(size);
-  BitReader br(input.subspan(r.position()));
-  for (std::uint64_t i = 0; i < size; ++i) {
-    out.push_back(static_cast<std::byte>(decoder.decode(br)));
+  // Every symbol takes at least one bit, so a size the remaining bits
+  // cannot hold is rejected before it is allocated.
+  if (size > 8 * static_cast<std::uint64_t>(r.remaining())) {
+    throw FormatError("huffman-only: size " + std::to_string(size) + " exceeds the " +
+                      std::to_string(r.remaining()) + "-byte bit stream");
   }
+  Bytes out(static_cast<std::size_t>(size));
+  BitReader br(input.subspan(r.position()));
+  for (std::byte& b : out) b = static_cast<std::byte>(decoder.decode(br));
+  if (br.overrun()) throw FormatError("bit stream truncated");
   return out;
 }
 

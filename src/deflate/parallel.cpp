@@ -235,11 +235,6 @@ Bytes sharded_deflate_decompress(std::span<const std::byte> input, std::size_t t
     const auto start =
         timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
     const Bytes block = deflate_decompress(body, e.uncompressed_size);
-    if (block.size() != e.uncompressed_size) {
-      throw CorruptDataError("sharded deflate: block " + std::to_string(i) + " decoded to " +
-                             std::to_string(block.size()) + " bytes, expected " +
-                             std::to_string(e.uncompressed_size));
-    }
     if (crc32(block) != e.crc) {
       throw CorruptDataError("sharded deflate: CRC-32 mismatch in block " + std::to_string(i));
     }

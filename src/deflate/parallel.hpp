@@ -74,8 +74,9 @@ struct ShardedDeflateOptions {
 
 /// Decompresses a WCKP container, decoding blocks concurrently when
 /// `threads` > 1 (0 = resolve_deflate_threads(0)).
-/// Throws FormatError on malformed framing and CorruptDataError when a
-/// block fails its CRC-32 or size check.
+/// Throws FormatError on malformed framing or a block that does not
+/// inflate to exactly its table size (checked while it decodes), and
+/// CorruptDataError when a block fails its CRC-32.
 [[nodiscard]] Bytes sharded_deflate_decompress(std::span<const std::byte> input,
                                                std::size_t threads = 0);
 

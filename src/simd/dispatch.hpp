@@ -2,8 +2,7 @@
 //
 // Two levels: the portable scalar reference and AVX2. The AVX2 table
 // carries a vector kernel only where bench/micro_kernels shows >= 1.5x
-// over scalar (bitmap_select, on the restore path, is the one kept
-// below that bar); other slots point at the portable function. Both
+// over scalar; other slots point at the portable function. Both
 // levels are bit-identical: the vector paths are restricted to
 // operations whose IEEE-754 results match the scalar reference exactly
 // (min/max with explicit NaN ordering, clamp-then-truncate, integer

@@ -21,11 +21,14 @@ namespace wck::simd::detail {
 
 /// Portable kernels the AVX2 table reuses: a vector version did not
 /// reach 1.5x over these in bench/micro_kernels (memory-bound, or the
-/// call sites pass too few elements to enter a vector loop).
+/// call sites pass too few elements to enter a vector loop), or, for
+/// bitmap_select, did not make a restore faster end to end.
 void haar_forward_pairs(const double* src, double* low, double* high, std::size_t pairs);
 void haar_inverse_pairs(const double* low, const double* high, double* dst, std::size_t pairs);
 void pack_f64_le(const double* v, std::size_t n, std::byte* out);
 void unpack_f64_le(const std::byte* in, std::size_t n, double* out);
+void bitmap_select(const std::uint64_t* words, std::size_t n, const double* averages,
+                   const std::uint8_t* indices, const double* exact, double* out);
 
 /// CRC-32 lookup tables (polynomial 0xEDB88320) for slice-by-N; the
 /// scalar reference uses t[0..3], slice-by-8 uses all eight.

@@ -3,9 +3,9 @@
 // separately rounded add-then-multiply sequences).
 //
 // Only kernels that beat the scalar reference by >= 1.5x in
-// bench/micro_kernels live here, plus bitmap_select, kept for the
-// restore path (EXPERIMENTS.md). The table's other slots point at the
-// portable functions (haar, pack/unpack) and the slice-by-8 CRC.
+// bench/micro_kernels live here. The table's other slots point at the
+// portable functions (haar, pack/unpack, bitmap_select) and the
+// slice-by-8 CRC.
 //
 // Bit-identity notes, mirrored in tests/simd_test.cpp:
 //  * _mm256_min_pd(x, acc) computes (x < acc) ? x : acc and returns the
@@ -20,7 +20,7 @@
 //    and then truncating equals floor-then-clamp for every input the
 //    contract defines (truncation == floor once x >= 1; max_pd(x, 0)
 //    maps NaN and negatives to 0; min_pd clamps +inf and overflow).
-//  * bitmap_pack_ge0, bitmap_select and adler32 are integer arithmetic
+//  * bitmap_pack_ge0 and adler32 are integer arithmetic
 //    and pure data movement, so equality with scalar is exact by
 //    construction.
 #include "simd/kernels.hpp"
@@ -28,8 +28,6 @@
 #if defined(__x86_64__) && defined(__AVX2__)
 
 #include <immintrin.h>
-
-#include <cstring>
 
 namespace wck::simd::detail {
 namespace {
@@ -100,41 +98,6 @@ void bitmap_pack_ge0(const std::int32_t* idx, std::size_t n, std::uint64_t* word
       if (idx[i] >= 0) bits |= 1ull << (i % 64);
     }
     words[full] = bits;
-  }
-}
-
-void bitmap_select(const std::uint64_t* words, std::size_t n, const double* averages,
-                   const std::uint8_t* indices, const double* exact, double* out) {
-  std::size_t qi = 0;
-  std::size_t ei = 0;
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const std::uint64_t w = words[i / 64];
-    if (w == ~0ull) {
-      // Masked form with an explicit zero source: the plain
-      // _mm256_i32gather_pd expands through _mm256_undefined_pd, which
-      // GCC flags -Wmaybe-uninitialized.
-      const __m256d src = _mm256_setzero_pd();
-      const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-      for (std::size_t k = 0; k < 64; k += 4) {
-        std::uint32_t quad;
-        std::memcpy(&quad, indices + qi + k, sizeof(quad));
-        const __m128i idx4 = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(static_cast<int>(quad)));
-        _mm256_storeu_pd(out + i + k, _mm256_mask_i32gather_pd(src, averages, idx4, all, 8));
-      }
-      qi += 64;
-    } else if (w == 0) {
-      std::memcpy(out + i, exact + ei, 64 * sizeof(double));
-      ei += 64;
-    } else {
-      for (std::size_t k = 0; k < 64; ++k) {
-        out[i + k] = ((w >> k) & 1ull) != 0 ? averages[indices[qi++]] : exact[ei++];
-      }
-    }
-  }
-  for (; i < n; ++i) {
-    const bool quantized = (words[i / 64] >> (i % 64)) & 1ull;
-    out[i] = quantized ? averages[indices[qi++]] : exact[ei++];
   }
 }
 

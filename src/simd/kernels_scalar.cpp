@@ -55,6 +55,16 @@ void unpack_f64_le(const std::byte* in, std::size_t n, double* out) {
   }
 }
 
+void bitmap_select(const std::uint64_t* words, std::size_t n, const double* averages,
+                   const std::uint8_t* indices, const double* exact, double* out) {
+  std::size_t qi = 0;
+  std::size_t ei = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool quantized = (words[i / 64] >> (i % 64)) & 1ull;
+    out[i] = quantized ? averages[indices[qi++]] : exact[ei++];
+  }
+}
+
 namespace {
 
 void range_min_max(const double* v, std::size_t n, double* lo, double* hi) {
@@ -84,16 +94,6 @@ void bitmap_pack_ge0(const std::int32_t* idx, std::size_t n, std::uint64_t* word
   for (std::size_t w = 0; w < nwords; ++w) words[w] = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (idx[i] >= 0) words[i / 64] |= 1ull << (i % 64);
-  }
-}
-
-void bitmap_select(const std::uint64_t* words, std::size_t n, const double* averages,
-                   const std::uint8_t* indices, const double* exact, double* out) {
-  std::size_t qi = 0;
-  std::size_t ei = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool quantized = (words[i / 64] >> (i % 64)) & 1ull;
-    out[i] = quantized ? averages[indices[qi++]] : exact[ei++];
   }
 }
 

@@ -3,8 +3,10 @@
 // bit of each byte).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <utility>
@@ -90,90 +92,115 @@ class BitWriter {
   int nbits_ = 0;
 };
 
-/// Reads bits LSB-first from a byte span. Throws FormatError past the end.
+/// Reads bits LSB-first from a byte span through a 64-bit buffer.
+///
+/// refill() tops the buffer up to at least kRefillBits bits. While 8 or
+/// more input bytes remain it does so with one unaligned little-endian
+/// load; near the end it takes the rest byte by byte and pads with zero
+/// bytes, counting them. The padding lets a decoder read a whole
+/// length/distance pair (at most 15 + 5 + 15 + 13 = 48 bits) after one
+/// refill with no bounds check per read. Reading a padded bit is
+/// truncation: overrun() reports it, get() and the tail refill throw on
+/// it, and decoders test it where a block or stream ends.
 class BitReader {
  public:
-  explicit BitReader(std::span<const std::byte> data) : data_(data) {}
+  /// Bits a refill() guarantees in the buffer.
+  static constexpr int kRefillBits = 56;
 
-  /// Reads `count` bits (0 <= count <= 32), LSB-first.
-  [[nodiscard]] std::uint32_t get(int count) {
-    check_count(count);
-    fill(count);
-    if (nbits_ < count) throw FormatError("bit stream truncated");
-    const auto v = static_cast<std::uint32_t>(acc_ & mask(count));
-    acc_ >>= count;
-    nbits_ -= count;
-    return v;
-  }
+  explicit BitReader(std::span<const std::byte> data) noexcept
+      : in_(data.data()), end_(data.data() + data.size()) {}
 
-  /// Peeks up to `count` bits without consuming; if fewer remain, the
-  /// missing high bits are zero. Used by table-driven Huffman decode.
-  [[nodiscard]] std::uint32_t peek(int count) {
-    check_count(count);
-    fill(count);
-    return static_cast<std::uint32_t>(acc_ & mask(count));
-  }
-
-  /// Consumes `count` bits previously peeked. Throws if not available.
-  void consume(int count) {
-    check_count(count);
-    if (nbits_ < count) throw FormatError("bit stream truncated");
-    acc_ >>= count;
-    nbits_ -= count;
-  }
-
-  /// Number of whole bits still available.
-  [[nodiscard]] std::size_t bits_remaining() const noexcept {
-    return nbits_ + 8 * (data_.size() - pos_);
-  }
-
-  /// Discards buffered bits to realign on the next byte boundary.
-  void align_to_byte() noexcept {
-    const int drop = nbits_ % 8;
-    acc_ >>= drop;
-    nbits_ -= drop;
-  }
-
-  /// Copies `size` raw bytes (must be byte-aligned).
-  void read_aligned(std::byte* out, std::size_t size) {
-    if (nbits_ % 8 != 0) throw FormatError("read_aligned while not byte-aligned");
-    while (nbits_ > 0 && size > 0) {
-      *out++ = static_cast<std::byte>(acc_ & 0xFFu);
-      acc_ >>= 8;
-      nbits_ -= 8;
-      --size;
+  /// Tops the buffer up to at least kRefillBits bits. Throws FormatError
+  /// if a padded bit was already consumed.
+  void refill() {
+    if (end_ - in_ >= 8) {
+      // Bits at and above cnt_ already hold the start of in_[0], so the
+      // overlapping OR rewrites them with the same values.
+      buf_ |= load_le64(in_) << cnt_;
+      in_ += (63 - cnt_) >> 3;
+      cnt_ |= 56;
+      return;
     }
-    if (size > data_.size() - pos_) throw FormatError("bit stream truncated (raw block)");
-    for (std::size_t i = 0; i < size; ++i) *out++ = data_[pos_ + i];
-    pos_ += size;
+    refill_tail();
   }
 
-  /// Byte offset of the next unread byte (after align_to_byte()).
-  [[nodiscard]] std::size_t byte_position() const noexcept { return pos_ - nbits_ / 8; }
+  /// The buffered bits, next stream bit in bit 0. Bits at and above the
+  /// buffered count are unspecified.
+  [[nodiscard]] std::uint64_t bits() const noexcept { return buf_; }
 
- private:
-  static void check_count(int count) {
+  /// Drops `count` buffered bits. Precondition: 0 <= count <= the number
+  /// of buffered bits, which refill() makes at least kRefillBits.
+  void consume(int count) noexcept {
+    buf_ >>= count;
+    cnt_ -= count;
+  }
+
+  /// Reads `count` bits (0 <= count <= 32), LSB-first. Throws
+  /// InvalidArgumentError for a count outside that range and FormatError
+  /// when the read runs past the end of the input.
+  [[nodiscard]] std::uint32_t get(int count) {
     if (count < 0 || count > 32) {
       throw InvalidArgumentError("BitReader: bit count " + std::to_string(count) +
                                  " outside [0, 32]");
     }
+    refill();
+    const auto v = static_cast<std::uint32_t>(buf_ & ((std::uint64_t{1} << count) - 1));
+    consume(count);
+    if (overrun()) throw FormatError("bit stream truncated");
+    return v;
   }
 
-  void fill(int want) noexcept {
-    while (nbits_ < want && pos_ < data_.size()) {
-      acc_ |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(data_[pos_++])) << nbits_;
-      nbits_ += 8;
+  /// True once a consumed bit was zero padding past the end of the input.
+  [[nodiscard]] bool overrun() const noexcept { return overread_ * 8 > cnt_; }
+
+  /// Discards buffered bits to realign on the next byte boundary.
+  void align_to_byte() noexcept { consume(cnt_ % 8); }
+
+  /// Copies `size` raw bytes (must be byte-aligned): hands the buffered
+  /// whole bytes back to the input, then copies straight from it. Throws
+  /// FormatError if the bits read so far or the copy run past the end.
+  void read_aligned(std::byte* out, std::size_t size) {
+    if (cnt_ % 8 != 0) throw FormatError("read_aligned while not byte-aligned");
+    if (overrun()) throw FormatError("bit stream truncated");
+    in_ -= cnt_ / 8 - overread_;
+    buf_ = 0;
+    cnt_ = 0;
+    overread_ = 0;
+    if (size > static_cast<std::size_t>(end_ - in_)) {
+      throw FormatError("bit stream truncated (raw block)");
+    }
+    if (size > 0) std::memcpy(out, in_, size);
+    in_ += size;
+  }
+
+ private:
+  void refill_tail() {
+    if (overrun()) throw FormatError("bit stream truncated");
+    while (cnt_ < kRefillBits) {
+      if (in_ != end_) {
+        buf_ |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(*in_++)) << cnt_;
+      } else {
+        ++overread_;
+      }
+      cnt_ += 8;
     }
   }
 
-  [[nodiscard]] static std::uint64_t mask(int count) noexcept {
-    return count >= 64 ? ~0ull : ((1ull << count) - 1ull);
+  [[nodiscard]] static std::uint64_t load_le64(const std::byte* p) noexcept {
+    std::uint64_t v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, p, sizeof v);
+    } else {
+      for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(p[i]);
+    }
+    return v;
   }
 
-  std::span<const std::byte> data_;
-  std::size_t pos_ = 0;
-  std::uint64_t acc_ = 0;
-  int nbits_ = 0;
+  const std::byte* in_;
+  const std::byte* end_;
+  std::uint64_t buf_ = 0;
+  int cnt_ = 0;       ///< buffered bits, the padded ones included
+  int overread_ = 0;  ///< zero bytes padded past the end of the input
 };
 
 }  // namespace wck

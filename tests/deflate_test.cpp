@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -600,6 +601,31 @@ TEST(DeflateGolden, OutputBytesUnchanged) {
   }
 }
 
+TEST(Deflate, TruncatedAtEveryByteRejected) {
+  // Every proper prefix of a 2 KB fig9 slice's stream ends mid-stream,
+  // so each decode reaches its own last 8 bytes through the byte-wise
+  // tail refill: reading past the end must throw, with or without a
+  // known size.
+  const auto slice = std::span(fig9_payload()).subspan(100000, 2048);
+  const Bytes comp = deflate_compress(slice);
+  ASSERT_TRUE(std::ranges::equal(deflate_decompress(comp, slice.size()), slice));
+  for (std::size_t len = 0; len < comp.size(); ++len) {
+    const std::span<const std::byte> prefix(comp.data(), len);
+    EXPECT_THROW((void)deflate_decompress(prefix), FormatError) << "prefix " << len;
+    EXPECT_THROW((void)deflate_decompress(prefix, slice.size()), FormatError) << "prefix " << len;
+  }
+}
+
+TEST(Deflate, ExpectedSizeBoundsTheOutput) {
+  const Bytes data = structured_bytes(50000, 13);
+  const Bytes comp = deflate_compress(data);
+  EXPECT_EQ(deflate_decompress(comp, data.size()), data);
+  // One byte short of the real size: throws once the output passes it.
+  EXPECT_THROW((void)deflate_decompress(comp, data.size() - 1), FormatError);
+  // One byte more: the stream ends short.
+  EXPECT_THROW((void)deflate_decompress(comp, data.size() + 1), FormatError);
+}
+
 // ---------------------------------------------------------------------
 // Containers
 // ---------------------------------------------------------------------
@@ -844,6 +870,160 @@ TEST(ZlibInterop, WeDecodeReferenceStreams) {
       EXPECT_EQ(zlib_decompress(theirs), c.data) << "level=" << level;
     }
   }
+}
+
+/// A raw DEFLATE stream (no container) from system zlib; level 0 writes
+/// stored blocks.
+Bytes zlib_ref_raw_deflate(std::span<const std::byte> input, int level, int strategy) {
+  z_stream zs{};
+  EXPECT_EQ(deflateInit2(&zs, level, Z_DEFLATED, -15, 8, strategy), Z_OK);
+  Bytes out(deflateBound(&zs, static_cast<uLong>(input.size())));
+  zs.next_in = const_cast<Bytef*>(reinterpret_cast<const Bytef*>(input.data()));
+  zs.avail_in = static_cast<uInt>(input.size());
+  zs.next_out = reinterpret_cast<Bytef*>(out.data());
+  zs.avail_out = static_cast<uInt>(out.size());
+  EXPECT_EQ(deflate(&zs, Z_FINISH), Z_STREAM_END);
+  out.resize(zs.total_out);
+  deflateEnd(&zs);
+  return out;
+}
+
+/// System zlib's raw inflate of `stream`: the decoded bytes, or nullopt
+/// when zlib rejects the stream or it ends before its final block does.
+std::optional<Bytes> zlib_ref_raw_inflate(std::span<const std::byte> stream) {
+  z_stream zs{};
+  EXPECT_EQ(inflateInit2(&zs, -15), Z_OK);
+  zs.next_in = const_cast<Bytef*>(reinterpret_cast<const Bytef*>(stream.data()));
+  zs.avail_in = static_cast<uInt>(stream.size());
+  Bytes out;
+  std::optional<Bytes> result;
+  for (;;) {
+    constexpr std::size_t kChunk = 1 << 16;
+    const std::size_t at = out.size();
+    out.resize(at + kChunk);
+    zs.next_out = reinterpret_cast<Bytef*>(out.data() + at);
+    zs.avail_out = static_cast<uInt>(kChunk);
+    const int rc = inflate(&zs, Z_NO_FLUSH);
+    out.resize(at + kChunk - zs.avail_out);
+    if (rc == Z_STREAM_END) {
+      result = std::move(out);
+      break;
+    }
+    if (rc != Z_OK || (zs.avail_in == 0 && zs.avail_out != 0)) break;
+  }
+  inflateEnd(&zs);
+  return result;
+}
+
+/// Our only rejection zlib does not share: a literal/length code that
+/// is incomplete. zlib accepts one that holds a single 1-bit code (it
+/// can only be end-of-block); RFC 1951 requires complete codes there.
+constexpr const char* kStricterThanZlib = "incomplete Huffman code";
+
+TEST(ZlibInterop, DifferentialInflateOnMutatedStreams) {
+  // The stricter rule, on a hand-built block: a literal/length code with
+  // one 1-bit code (end of block) and a single 1-bit distance code.
+  {
+    BitWriter bw;
+    bw.put(1, 1);      // BFINAL
+    bw.put(0b10, 2);   // dynamic
+    bw.put(0, 5);      // HLIT = 257
+    bw.put(0, 5);      // HDIST = 1
+    bw.put(14, 4);     // HCLEN = 18: through code-length symbol 1
+    for (int i = 0; i < 18; ++i) bw.put(i == 2 || i == 17 ? 1 : 0, 3);  // symbols 18 and 1
+    // Canonical: symbol 1 -> code 0, symbol 18 -> code 1.
+    bw.put(1, 1);
+    bw.put(138 - 11, 7);  // 138 zero lengths
+    bw.put(1, 1);
+    bw.put(118 - 11, 7);  // 118 more: symbols 0..255
+    bw.put(0, 1);         // end of block: length 1
+    bw.put(0, 1);         // distance 0: length 1
+    bw.put(0, 1);         // the block's only symbol, end of block
+    const Bytes stream = bw.finish();
+    const auto theirs = zlib_ref_raw_inflate(stream);
+    ASSERT_TRUE(theirs.has_value());
+    EXPECT_TRUE(theirs->empty());
+    try {
+      (void)deflate_decompress(stream);
+      ADD_FAILURE() << "an incomplete literal/length code was accepted";
+    } catch (const FormatError& e) {
+      EXPECT_STREQ(e.what(), kStricterThanZlib);
+    }
+  }
+
+  // Our streams and zlib's (levels 1/6/9, fixed codes, stored blocks) of
+  // the checkpoint payload, slices of it and the round-trip inputs.
+  const Bytes& payload = fig9_payload();
+  std::vector<Bytes> inputs = {payload, Bytes(payload.begin() + 4096, payload.begin() + 6144),
+                               Bytes(payload.begin() + 300000, payload.begin() + 316384)};
+  for (auto& c : round_trip_cases()) inputs.push_back(std::move(c.data));
+  std::vector<Bytes> streams;
+  for (const Bytes& in : inputs) {
+    for (const int level : {1, 6, 9}) {
+      streams.push_back(deflate_compress(in, DeflateOptions{level}));
+      streams.push_back(zlib_ref_raw_deflate(in, level, Z_DEFAULT_STRATEGY));
+    }
+    streams.push_back(zlib_ref_raw_deflate(in, 6, Z_FIXED));
+    streams.push_back(zlib_ref_raw_deflate(in, 0, Z_DEFAULT_STRATEGY));
+  }
+
+  // Whenever we accept, zlib accepts with the same bytes; whenever zlib
+  // accepts and we reject, it is for the stricter rule above.
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  const auto check = [&](const Bytes& stream, const std::string& what) {
+    std::optional<Bytes> ours;
+    std::string why;
+    try {
+      ours = deflate_decompress(stream);
+    } catch (const FormatError& e) {
+      why = e.what();
+    }
+    const std::optional<Bytes> theirs = zlib_ref_raw_inflate(stream);
+    if (ours.has_value()) {
+      ++accepted;
+      ASSERT_TRUE(theirs.has_value()) << what << ": we accept, zlib rejects";
+      ASSERT_TRUE(*ours == *theirs) << what << ": decoded bytes differ from zlib's";
+    } else {
+      ++rejected;
+      if (theirs.has_value()) {
+        EXPECT_EQ(why, kStricterThanZlib) << what << ": zlib accepts";
+      }
+    }
+  };
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    check(streams[i], "stream " + std::to_string(i));
+    ASSERT_EQ(accepted, i + 1) << "an unmutated stream was rejected";
+  }
+
+  Xoshiro256 rng(2015);
+  constexpr int kMutations = 2400;
+  for (int m = 0; m < kMutations; ++m) {
+    const std::size_t which = rng.bounded(streams.size());
+    Bytes stream = streams[which];
+    const auto at = [&] { return static_cast<std::size_t>(rng.bounded(stream.size())); };
+    const std::uint64_t kind = rng.bounded(4);
+    if (kind == 0) {  // 1-4 bytes overwritten anywhere
+      for (std::uint64_t k = 0, n = 1 + rng.bounded(4); k < n; ++k) {
+        stream[at()] = static_cast<std::byte>(rng.bounded(256));
+      }
+    } else if (kind == 1) {  // 1-3 bit flips anywhere
+      for (std::uint64_t k = 0, n = 1 + rng.bounded(3); k < n; ++k) {
+        stream[at()] ^= static_cast<std::byte>(1u << rng.bounded(8));
+      }
+    } else if (kind == 2) {  // a bit flip in the first 64 bytes: block headers, code tables
+      stream[static_cast<std::size_t>(rng.bounded(std::min<std::size_t>(64, stream.size())))] ^=
+          static_cast<std::byte>(1u << rng.bounded(8));
+    } else {  // truncation
+      stream.resize(at());
+    }
+    check(stream, "mutation " + std::to_string(m) + " (kind " + std::to_string(kind) +
+                      ") of stream " + std::to_string(which));
+    if (HasFatalFailure()) return;
+  }
+  // Both outcomes must actually occur, or the comparison proves little.
+  EXPECT_GT(accepted, streams.size() + kMutations / 20);
+  EXPECT_GT(rejected, static_cast<std::size_t>(kMutations / 4));
 }
 
 TEST(ZlibInterop, CompressionRatioCompetitive) {

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "deflate/huffman_only.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -72,6 +73,32 @@ TEST(HuffmanOnly, MalformedInputRejected) {
   Bytes comp = huffman_only_compress(data);
   comp.resize(comp.size() / 2);  // truncate mid-bitstream
   EXPECT_THROW((void)huffman_only_decompress(comp), FormatError);
+}
+
+TEST(HuffmanOnly, ImplausibleSizeRejectedBeforeAllocating) {
+  // A valid coded stream whose size varint is replaced by a claim its
+  // bits cannot hold (each symbol costs at least one bit): 2^44 bytes
+  // used to throw std::bad_alloc, and 2^27 to reserve 128 MiB first.
+  Xoshiro256 rng(5);
+  Bytes data(5000);
+  for (auto& b : data) b = static_cast<std::byte>(rng.bounded(8));
+  const Bytes comp = huffman_only_compress(data);
+  ByteReader r(comp);
+  const std::uint32_t magic = r.u32();
+  ASSERT_EQ(r.varint(), data.size());
+  for (const std::uint64_t claim : {std::uint64_t{1} << 44, std::uint64_t{1} << 27}) {
+    ByteWriter w;
+    w.u32(magic);
+    w.varint(claim);
+    w.raw(comp.data() + r.position(), comp.size() - r.position());
+    try {
+      (void)huffman_only_decompress(w.buffer());
+      ADD_FAILURE() << "claim " << claim << " accepted";
+    } catch (const FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos)
+          << "claim " << claim << ": " << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -154,6 +154,31 @@ TEST(ShardedDeflate, RejectsImplausibleBlockCount) {
   EXPECT_THROW((void)sharded_deflate_decompress(w.buffer()), FormatError);
 }
 
+TEST(ShardedDeflate, RejectsBlockThatInflatesPastItsSize) {
+  // One block that claims 1 KiB but whose body inflates to 1 MiB: the
+  // decoder stops at the claimed size instead of inflating the rest.
+  const Bytes body = deflate_compress(Bytes(1 << 20, std::byte{0x5A}));
+  ByteWriter w;
+  w.u32(0x504B4357);
+  w.u8(1);
+  w.u8(0);
+  w.varint(1024);  // block_size
+  w.varint(1024);  // total
+  w.varint(1);     // block count
+  w.varint(body.size());
+  w.varint(1024);
+  w.u32(0);  // CRC-32: never reached
+  w.raw(body.data(), body.size());
+  try {
+    (void)sharded_deflate_decompress(w.buffer(), 1);
+    ADD_FAILURE() << "a block inflating past its size was accepted";
+  } catch (const FormatError& e) {
+    // Thrown where the output crosses 1 KiB, not after a full decode.
+    EXPECT_NE(std::string(e.what()).find("past its expected 1024 bytes"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ShardedDeflate, RejectsBlockCountMismatch) {
   const Bytes packed = sharded_deflate_compress(make_payload(4096), {6, 1024, 1});
   // Rebuild the header with an off-by-one block count; table/body bytes

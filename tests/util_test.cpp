@@ -159,8 +159,10 @@ TEST(BitIo, PeekDoesNotConsume) {
   bw.put(0x5A, 8);
   const Bytes buf = bw.finish();
   BitReader br(buf);
-  EXPECT_EQ(br.peek(4), 0xAu);
-  EXPECT_EQ(br.peek(4), 0xAu);
+  br.refill();
+  EXPECT_EQ(br.bits() & 0xF, 0xAu);
+  br.refill();
+  EXPECT_EQ(br.bits() & 0xF, 0xAu);
   EXPECT_EQ(br.get(8), 0x5Au);
 }
 
@@ -285,8 +287,6 @@ TEST(BitIo, ReaderRejectsCountOutOfRange) {
   BitReader br(data);
   EXPECT_THROW((void)br.get(-1), InvalidArgumentError);
   EXPECT_THROW((void)br.get(33), InvalidArgumentError);
-  EXPECT_THROW((void)br.peek(33), InvalidArgumentError);
-  EXPECT_THROW(br.consume(-1), InvalidArgumentError);
   // The reader is still usable after a precondition failure.
   EXPECT_EQ(br.get(8), 0xFFu);
 }

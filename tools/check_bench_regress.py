@@ -31,6 +31,10 @@ Exceptions — baseline-less records that are self-baselining:
     may take at most ZLIB_TIME_MULT (1.25x) zlib level 6's time on the
     same payload, and one 2 KB call at most ZLIB_CALL_MULT (2x) zlib's.
     Without those params the check prints "skipped (no zlib row)".
+    Likewise for inflate (serial_decompress_s, zlib_decompress_s):
+    inflating the serial stream may take at most ZLIB_INFLATE_TIME_MULT
+    (1.25x) the time of zlib's uncompress on it; without those params
+    the check prints "skipped (no zlib inflate row)".
   * a record carrying simd_best_level in its params
     (bench/micro_kernels): on vector-capable hardware (best level is
     not "scalar") at least --simd-min-kernels of the speedup_<kernel>
@@ -56,6 +60,8 @@ STRICT_ERROR_KEYS = ("mean_rel", "max_rel", "rmse")
 ZLIB_KEYS = ("serial_compress_s", "zlib_compress_s", "call_us", "zlib_call_us")
 ZLIB_TIME_MULT = 1.25  # serial deflate time over zlib level 6's, same payload
 ZLIB_CALL_MULT = 2.0   # one 2 KB deflate call over zlib's
+ZLIB_INFLATE_KEYS = ("serial_decompress_s", "zlib_decompress_s")
+ZLIB_INFLATE_TIME_MULT = 1.25  # serial inflate time over zlib's uncompress, same stream
 
 
 def load_records(path):
@@ -175,24 +181,35 @@ class Gate:
             self.fail(f"{name}: sharded container {drift:+.2%} larger than serial "
                       f"({serial} -> {sharded}, tolerance +{self.sharded_tol:.0%})")
         self.check_zlib_speed(name, params)
+        self.check_zlib_inflate_speed(name, params)
         return True
+
+    def zlib_row(self, name, params, keys, row):
+        """The named zlib row's params as floats; None when absent or bad.
+
+        An absent row prints a skip notice; a partial or non-numeric row
+        is a failure.
+        """
+        present = [k for k in keys if k in params]
+        if not present:
+            print(f"{name}: {row} speed check skipped (no {row} row)")
+            return None
+        self.checks += 1
+        if len(present) != len(keys):
+            missing = ", ".join(k for k in keys if k not in params)
+            self.fail(f"{name}: {row} row incomplete (missing {missing})")
+            return None
+        try:
+            return {k: float(params[k]) for k in keys}
+        except (TypeError, ValueError):
+            self.fail(f"{name}: {row} row params are not numbers "
+                      f"({ {k: params[k] for k in keys} })")
+            return None
 
     def check_zlib_speed(self, name, params):
         """Self-baselining speed check against system zlib on the same input."""
-        present = [k for k in ZLIB_KEYS if k in params]
-        if not present:
-            print(f"{name}: zlib speed check skipped (no zlib row)")
-            return
-        self.checks += 1
-        if len(present) != len(ZLIB_KEYS):
-            missing = ", ".join(k for k in ZLIB_KEYS if k not in params)
-            self.fail(f"{name}: zlib row incomplete (missing {missing})")
-            return
-        try:
-            v = {k: float(params[k]) for k in ZLIB_KEYS}
-        except (TypeError, ValueError):
-            self.fail(f"{name}: zlib row params are not numbers "
-                      f"({ {k: params[k] for k in ZLIB_KEYS} })")
+        v = self.zlib_row(name, params, ZLIB_KEYS, "zlib")
+        if v is None:
             return
         if v["zlib_compress_s"] <= 0 or v["zlib_call_us"] <= 0:
             self.fail(f"{name}: zlib reference times must be positive "
@@ -207,6 +224,20 @@ class Gate:
             self.fail(f"{name}: a 2 KB deflate call costs {call_ratio:.2f}x zlib's "
                       f"({v['call_us']:.1f} vs {v['zlib_call_us']:.1f} us, "
                       f"limit {ZLIB_CALL_MULT:g}x)")
+
+    def check_zlib_inflate_speed(self, name, params):
+        """Self-baselining inflate speed check against zlib's uncompress."""
+        v = self.zlib_row(name, params, ZLIB_INFLATE_KEYS, "zlib inflate")
+        if v is None:
+            return
+        if v["zlib_decompress_s"] <= 0:
+            self.fail(f"{name}: zlib inflate reference time must be positive "
+                      f"({v['zlib_decompress_s']})")
+            return
+        ratio = v["serial_decompress_s"] / v["zlib_decompress_s"]
+        if ratio > ZLIB_INFLATE_TIME_MULT:
+            self.fail(f"{name}: serial inflate takes {ratio:.2f}x zlib's time "
+                      f"(limit {ZLIB_INFLATE_TIME_MULT:g}x)")
 
     def check_simd_speedup(self, name, record):
         """Self-baselining check for SIMD kernel throughput records.
