@@ -9,6 +9,9 @@
 // per-process array, not synthetic bytes — compression ratio and speed
 // are representative of what fig9's gzip stage sees.
 //
+// A restore row times WaveletCompressor::decompress of the field's
+// stream beside the serial inflate of its WCKP body.
+//
 // When the system zlib is available, reference rows follow: zlib level 6
 // on the same payload, zlib's uncompress on the serial stream, and the
 // per-call cost of ours and zlib's on 2 KB slices of it, compressing and
@@ -17,10 +20,12 @@
 // Emits a wck-bench-record (--bench-json[=PATH]) with throughput gauges
 // (deflate.serial.compress.mbps, deflate.sharded.t<N>.compress.mbps,
 // ...), the serial/sharded byte sizes in report.params for the
-// check_bench_regress.py sharded-drift gate, and (with zlib) the
+// check_bench_regress.py sharded-drift gate, decompress_s /
+// decompress_inflate_s for its restore gate, and (with zlib) the
 // serial_compress_s / zlib_compress_s / call_us / zlib_call_us and
 // serial_decompress_s / zlib_decompress_s params for its zlib-relative
 // speed gates.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -176,6 +181,30 @@ int main(int argc, char** argv) {
   // The regress gate reads these to hold sharded-container drift <= 2%.
   report.params["serial_bytes"] = std::to_string(serial.size());
   report.params["sharded_bytes"] = std::to_string(sharded_reference.size());
+
+  // --- restore: WaveletCompressor::decompress of the field's stream
+  // beside the serial inflate of that stream's WCKP body. The difference
+  // is everything a restore does besides inflating (payload parse, band
+  // fill, inverse transform); the regress gate bounds the ratio. The two
+  // are timed in alternation, so a busy spell on a shared host lands on
+  // both, and a ratio of two best-of times needs more draws than one time
+  // to settle (each costs milliseconds), so this row takes at least 40.
+  const Bytes stream = WaveletCompressor(CompressionParams{}).compress(field).data;
+  const auto body = std::span<const std::byte>(stream).subspan(1);
+  double stream_inflate_s = 0.0;
+  double decompress_s = 0.0;
+  for (int r = 0; r < std::max(repeats, 40); ++r) {
+    const double inflate = best_seconds(1, [&] { (void)sharded_deflate_decompress(body, 1); });
+    const double whole = best_seconds(1, [&] { (void)WaveletCompressor::decompress(stream); });
+    if (r == 0 || inflate < stream_inflate_s) stream_inflate_s = inflate;
+    if (r == 0 || whole < decompress_s) decompress_s = whole;
+  }
+  std::printf("%-22s %10.3f ms decompress %8.3f ms its inflate  (%.2fx)\n", "restore",
+              decompress_s * 1e3, stream_inflate_s * 1e3, decompress_s / stream_inflate_s);
+  WCK_GAUGE_SET("restore.decompress_ms", decompress_s * 1e3);
+  WCK_GAUGE_SET("restore.inflate_ms", stream_inflate_s * 1e3);
+  report.params["decompress_s"] = std::to_string(decompress_s);
+  report.params["decompress_inflate_s"] = std::to_string(stream_inflate_s);
 
 #ifdef WCK_HAVE_ZLIB
   // --- system zlib at level 6: the speed reference for the serial row.

@@ -50,8 +50,8 @@ double mbps(std::size_t bytes, double seconds) {
 }
 
 /// Inputs shared by every kernel: one realistic double buffer (smooth
-/// field + spikes + denormals, like a wavelet high band) plus the
-/// derived quantizer/bitmap/byte views.
+/// field + spikes + denormals, like a wavelet high band) plus its
+/// classification and little-endian bytes.
 struct Workload {
   std::vector<double> values;       // n doubles
   std::vector<std::byte> bytes;     // n*8 bytes (LE-packed values)
@@ -59,10 +59,6 @@ struct Workload {
   double inv_width = 0.0;
   std::int32_t divisions = 256;
   std::vector<std::int32_t> cls;    // classification (>=0 quantized)
-  std::vector<std::uint64_t> words; // packed bitmap of cls
-  std::vector<double> averages;     // divisions bin centers
-  std::vector<std::uint8_t> indices;
-  std::vector<double> exact;
 };
 
 Workload make_workload(std::size_t n, std::uint64_t seed) {
@@ -92,22 +88,9 @@ Workload make_workload(std::size_t n, std::uint64_t seed) {
   w.cls.resize(n);
   if (n > 0) scalar.grid_index_batch(w.values.data(), n, w.lo, w.inv_width, w.divisions,
                                      w.cls.data());
-  // Mark spikes unquantized so the bitmap/select kernels see a mixed map.
+  // Mark spikes unquantized so the bitmap kernel sees a mixed map.
   for (std::size_t i = 0; i < n; ++i) {
     if (w.values[i] < w.lo || w.values[i] > w.lo + 0.02) w.cls[i] = -1;
-  }
-  w.words.resize((n + 63) / 64);
-  if (n > 0) scalar.bitmap_pack_ge0(w.cls.data(), n, w.words.data());
-  w.averages.resize(static_cast<std::size_t>(w.divisions));
-  for (std::size_t i = 0; i < w.averages.size(); ++i) {
-    w.averages[i] = w.lo + (static_cast<double>(i) + 0.5) / w.inv_width;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (w.cls[i] >= 0) {
-      w.indices.push_back(static_cast<std::uint8_t>(w.cls[i]));
-    } else {
-      w.exact.push_back(w.values[i]);
-    }
   }
   return w;
 }
@@ -151,40 +134,16 @@ int main(int argc, char** argv) {
   report.params["simd_best_level"] = simd::to_string(best);
 
   const simd::KernelTable& ref = simd::kernels_for(simd::Level::kScalar);
-  const std::size_t pairs = n / 2;
 
   // Scratch shared by the run() lambdas (allocated once, outside timing).
-  std::vector<double> low(pairs), high(pairs), dbl(n);
+  std::vector<double> dbl(n);
   std::vector<std::int32_t> idx(n);
-  std::vector<std::uint64_t> words(w.words.size());
+  std::vector<std::uint64_t> words((n + 63) / 64);
   std::vector<std::byte> packed(n * 8);
   std::vector<double> ref_dbl(n);
   std::vector<std::byte> ref_packed(n * 8);
 
   std::vector<KernelBench> benches;
-  benches.push_back(
-      {"haar_forward", pairs * 2 * 8,
-       [&](const simd::KernelTable& k) {
-         k.haar_forward_pairs(w.values.data(), low.data(), high.data(), pairs);
-       },
-       [&](const simd::KernelTable& k) {
-         std::vector<double> l2(pairs), h2(pairs);
-         ref.haar_forward_pairs(w.values.data(), l2.data(), h2.data(), pairs);
-         k.haar_forward_pairs(w.values.data(), low.data(), high.data(), pairs);
-         return std::memcmp(low.data(), l2.data(), pairs * 8) == 0 &&
-                std::memcmp(high.data(), h2.data(), pairs * 8) == 0;
-       }});
-  benches.push_back(
-      {"haar_inverse", pairs * 2 * 8,
-       [&](const simd::KernelTable& k) {
-         k.haar_inverse_pairs(low.data(), high.data(), dbl.data(), pairs);
-       },
-       [&](const simd::KernelTable& k) {
-         ref.haar_forward_pairs(w.values.data(), low.data(), high.data(), pairs);
-         ref.haar_inverse_pairs(low.data(), high.data(), ref_dbl.data(), pairs);
-         k.haar_inverse_pairs(low.data(), high.data(), dbl.data(), pairs);
-         return std::memcmp(dbl.data(), ref_dbl.data(), pairs * 2 * 8) == 0;
-       }});
   benches.push_back(
       {"range_min_max", n * 8,
        [&](const simd::KernelTable& k) {
@@ -216,19 +175,6 @@ int main(int argc, char** argv) {
          ref.bitmap_pack_ge0(w.cls.data(), n, w2.data());
          k.bitmap_pack_ge0(w.cls.data(), n, words.data());
          return std::memcmp(words.data(), w2.data(), words.size() * 8) == 0;
-       }});
-  benches.push_back(
-      {"bitmap_select", n * 8,
-       [&](const simd::KernelTable& k) {
-         k.bitmap_select(w.words.data(), n, w.averages.data(), w.indices.data(), w.exact.data(),
-                         dbl.data());
-       },
-       [&](const simd::KernelTable& k) {
-         ref.bitmap_select(w.words.data(), n, w.averages.data(), w.indices.data(),
-                           w.exact.data(), ref_dbl.data());
-         k.bitmap_select(w.words.data(), n, w.averages.data(), w.indices.data(), w.exact.data(),
-                         dbl.data());
-         return std::memcmp(dbl.data(), ref_dbl.data(), n * 8) == 0;
        }});
   benches.push_back(
       {"pack_f64", n * 8,

@@ -1,6 +1,9 @@
 #include "core/compressor.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
 #include <string>
 
 #include "deflate/deflate.hpp"
@@ -45,6 +48,85 @@ std::span<const std::byte> entropy_decode(std::uint8_t tag, std::span<const std:
   }
   return storage;
 }
+
+/// One little-endian double.
+[[nodiscard]] double f64_le(const std::byte* in) noexcept {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, in, sizeof bits);
+  if constexpr (std::endian::native == std::endian::big) bits = __builtin_bswap64(bits);
+  return std::bit_cast<double>(bits);
+}
+
+/// Hands out the high-band values of a parsed payload in serialization
+/// order: bitmap bit k set means averages[next index], clear means the
+/// next exact value. Works 56 bits at a time: a chunk of one kind is a
+/// gather or one bulk copy, a mixed chunk a branch-free select.
+/// parse_payload's invariants (popcount == #indices, #exact == #bits -
+/// popcount, indexes < #averages) keep every read in bounds as long as
+/// no more than high_count values are taken in total.
+class HighBandReader {
+ public:
+  HighBandReader(const PayloadView& v, const simd::KernelTable& kern)
+      : bitmap_(v.bitmap), indices_(v.indices.data()), exact_(v.exact_values.data()),
+        kern_(kern) {
+    kern_.unpack_f64_le(v.averages.data(), v.averages_count(), averages_.data());
+  }
+
+  /// Writes the next n high-band values to out[0..n).
+  void take(double* out, std::size_t n) {
+    while (n > 0) {
+      const std::size_t k = std::min<std::size_t>(n, 56);
+      const std::uint64_t bits = bits_at(pos_) & ((std::uint64_t{1} << k) - 1);
+      const auto q = static_cast<std::size_t>(std::popcount(bits));
+      if (q == k) {
+        for (std::size_t j = 0; j < k; ++j) out[j] = averages_[indices_[j]];
+      } else if (q == 0) {
+        kern_.unpack_f64_le(exact_, k, out);
+      } else {
+        // Both kinds occur, so clamping each cursor to its last entry in
+        // this chunk keeps the unused read in bounds.
+        const std::size_t e = k - q;
+        std::size_t qi = 0;
+        std::size_t ei = 0;
+        for (std::size_t j = 0; j < k; ++j) {
+          const bool quantized = ((bits >> j) & 1u) != 0;
+          const double a = averages_[indices_[std::min(qi, q - 1)]];
+          const double x = f64_le(exact_ + std::min(ei, e - 1) * sizeof(double));
+          out[j] = quantized ? a : x;
+          qi += quantized ? 1 : 0;
+          ei += quantized ? 0 : 1;
+        }
+      }
+      indices_ += q;
+      exact_ += (k - q) * sizeof(double);
+      out += k;
+      n -= k;
+      pos_ += k;
+    }
+  }
+
+ private:
+  [[nodiscard]] std::uint64_t bits_at(std::size_t pos) const noexcept {
+    const std::size_t first = pos / 8;
+    std::uint64_t w = 0;
+    if (first + 8 <= bitmap_.size()) {
+      std::memcpy(&w, bitmap_.data() + first, 8);
+      if constexpr (std::endian::native == std::endian::big) w = __builtin_bswap64(w);
+    } else {
+      for (std::size_t b = 0; first + b < bitmap_.size(); ++b) {
+        w |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bitmap_[first + b])) << (8 * b);
+      }
+    }
+    return w >> (pos % 8);
+  }
+
+  std::span<const std::byte> bitmap_;
+  const std::uint8_t* indices_;
+  const std::byte* exact_;
+  const simd::KernelTable& kern_;
+  std::array<double, 256> averages_{};
+  std::size_t pos_ = 0;
+};
 
 }  // namespace
 
@@ -163,6 +245,63 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
   return out;
 }
 
+NdArray<double> decode_bands(const PayloadView& view) {
+  const WaveletPlan plan = WaveletPlan::create(view.shape, view.levels);
+  if (view.low_count() != plan.low_count()) {
+    throw FormatError("payload low band size does not match transform plan");
+  }
+  if (view.high_count != plan.high_count()) {
+    throw FormatError("payload bitmap size does not match transform plan");
+  }
+  NdArray<double> out(view.shape);
+  const simd::KernelTable& kern = simd::kernels();
+  HighBandReader high(view, kern);
+
+  // The array is written in memory order. A row whose outer indexes all
+  // lie inside the low corner starts with low_row low-band values; every
+  // other element is the next high-band value. Low values are therefore
+  // consumed in the low corner's row-major order and high values in the
+  // full array's, which are the for_each_low_band / for_each_high_band
+  // orders of the serialization contract. Once an outer index leaves the
+  // low corner, the rest of its slab is high band and is taken whole.
+  const Shape& low = plan.final_low_extents();
+  const NdSpan<double> v = out.view();
+  const std::size_t r = view.shape.rank();
+  const std::size_t low_row = low[r - 1];
+  const std::size_t high_row = view.shape[r - 1] - low_row;
+  const std::byte* low_src = view.low_band.data();
+  double* dst = out.data();
+  std::size_t pending = 0;  // high-band elements before the next low run
+  std::array<std::size_t, kMaxRank> idx{};
+  for (;;) {
+    std::size_t ax = 0;  // first outer axis outside the low corner, else r - 1
+    while (ax + 1 < r && idx[ax] < low[ax]) ++ax;
+    if (ax + 1 == r) {
+      high.take(dst, pending);
+      dst += pending;
+      kern.unpack_f64_le(low_src, low_row, dst);
+      low_src += low_row * sizeof(double);
+      dst += low_row;
+      pending = high_row;
+    } else {
+      pending += v.stride(ax);  // idx[ax + 1..] are 0 here: the whole slab
+    }
+    // Step the odometer at axis ax (the last outer axis after a low row).
+    std::size_t a = std::min(ax + 1, r - 1);
+    bool done = true;
+    while (a-- > 0) {
+      if (++idx[a] < view.shape[a]) {
+        done = false;
+        break;
+      }
+      idx[a] = 0;
+    }
+    if (done) break;
+  }
+  high.take(dst, pending);
+  return out;
+}
+
 NdArray<double> WaveletCompressor::decompress(std::span<const std::byte> data) {
   if (data.empty()) throw FormatError("empty compressed stream");
   WCK_TRACE_SPAN("decompress");
@@ -170,39 +309,20 @@ NdArray<double> WaveletCompressor::decompress(std::span<const std::byte> data) {
   WCK_COUNTER_ADD("decompress.bytes_in", data.size());
   const auto tag = static_cast<std::uint8_t>(data[0]);
   Bytes storage;
-  const std::span<const std::byte> payload = entropy_decode(tag, data.subspan(1), storage);
-
-  const LossyPayload p = decode_payload(payload);
-  const WaveletPlan plan = WaveletPlan::create(p.shape, p.levels);
-  if (p.low_band.size() != plan.low_count()) {
-    throw FormatError("payload low band size does not match transform plan");
-  }
-  if (p.quantized.size() != plan.high_count()) {
-    throw FormatError("payload bitmap size does not match transform plan");
-  }
-
-  NdArray<double> work(p.shape);
+  std::span<const std::byte> payload;
   {
-    std::size_t li = 0;
-    for_each_low_band(work.view(), plan.final_low_extents(),
-                      [&](double& v) { v = p.low_band[li++]; });
+    WCK_STAGE("inflate", nullptr);
+    payload = entropy_decode(tag, data.subspan(1), storage);
   }
+  NdArray<double> work;
+  PayloadView view;
   {
-    // Materialize the high bands contiguously through the select kernel
-    // (decode_payload validated popcount == #indices, every index <
-    // #averages, and #exact == size - popcount), then scatter along the
-    // serialization walk.
-    const std::size_t n = p.quantized.size();
-    std::vector<double> high(n);
-    if (n > 0) {
-      simd::kernels().bitmap_select(p.quantized.words().data(), n, p.averages.data(),
-                                    p.indices.data(), p.exact_values.data(), high.data());
-    }
-    std::size_t hi = 0;
-    for_each_high_band(work.view(), plan.final_low_extents(),
-                       [&high, &hi](double& v) { v = high[hi++]; });
+    WCK_STAGE("decode", nullptr);
+    view = parse_payload(payload);
+    work = decode_bands(view);
   }
-  wavelet_inverse(work.view(), p.wavelet, p.levels);
+  WCK_STAGE("wavelet_inverse", nullptr);
+  wavelet_inverse(work.view(), view.wavelet, view.levels);
   return work;
 }
 
@@ -212,17 +332,17 @@ StreamInfo WaveletCompressor::inspect(std::span<const std::byte> data) {
   Bytes storage;
   const std::span<const std::byte> payload = entropy_decode(tag, data.subspan(1), storage);
 
-  const LossyPayload p = decode_payload(payload);
+  const PayloadView v = parse_payload(payload);
   StreamInfo info;
-  info.shape = p.shape;
-  info.levels = p.levels;
-  info.wavelet = p.wavelet;
-  info.quantizer = p.quantizer;
+  info.shape = v.shape;
+  info.levels = v.levels;
+  info.wavelet = v.wavelet;
+  info.quantizer = v.quantizer;
   info.entropy_tag = tag;
-  info.averages_count = p.averages.size();
-  info.high_count = p.quantized.size();
-  info.quantized_count = p.indices.size();
-  info.exact_count = p.exact_values.size();
+  info.averages_count = v.averages_count();
+  info.high_count = v.high_count;
+  info.quantized_count = v.indices.size();
+  info.exact_count = v.exact_count();
   info.payload_bytes = payload.size();
   return info;
 }

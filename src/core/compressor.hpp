@@ -9,7 +9,9 @@
 //
 // Every stage is timed once, as "other", "wavelet", "quantize", "encode"
 // and "deflate" (non-overlapping), so benchmarks can reproduce the
-// paper's Fig. 9 cost breakdown. The paper's temp-file gzip path lives
+// paper's Fig. 9 cost breakdown. Decompression times its own three
+// layers under distinct names: "inflate", "decode" (payload parse and
+// band fill) and "wavelet_inverse". The paper's temp-file gzip path lives
 // in the benches that reproduce it (bench/bench_common.hpp).
 #pragma once
 
@@ -145,6 +147,15 @@ class WaveletCompressor {
   CompressionParams params_;
   CompressionObserver* observer_ = nullptr;
 };
+
+/// Writes the bands of a parsed payload into a new array of its shape,
+/// each element once: the low corner from the low-band view, every
+/// other element from the bitmap, indexes and exact values, in the
+/// for_each_low_band / for_each_high_band orders the stream was written
+/// in. The result is the transform-domain array wavelet_inverse turns
+/// back into data. Throws FormatError when the band sizes do not match
+/// the shape's transform plan.
+[[nodiscard]] NdArray<double> decode_bands(const PayloadView& view);
 
 /// Extension the paper lists as future work (Sec. IV-C): instead of the
 /// user hand-tuning the division number `n`, pick the smallest power-of-

@@ -59,7 +59,10 @@ const char* to_string(Level level) noexcept {
 
 Level detected_best() noexcept {
 #if defined(__x86_64__)
-  if (detail::avx2_table() != nullptr && __builtin_cpu_supports("avx2")) return Level::kAvx2;
+  if (detail::avx2_table() != nullptr && __builtin_cpu_supports("avx2") &&
+      __builtin_cpu_supports("pclmul")) {
+    return Level::kAvx2;
+  }
 #endif
   return Level::kScalar;
 }

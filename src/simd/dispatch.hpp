@@ -12,7 +12,7 @@
 // only under src/simd/).
 //
 // Level selection: AVX2 when both the build and the CPU (CPUID at first
-// use) support it, else scalar. WCK_SIMD=scalar (read through the
+// use) support AVX2 and PCLMULQDQ, else scalar. WCK_SIMD=scalar (read through the
 // wck::env cache) forces the reference kernels; any other value means
 // auto. The resolved level is cached for the process lifetime and
 // published as the "simd.level" telemetry gauge so bench records are
@@ -37,14 +37,6 @@ enum class Level : int {
 /// One function pointer per kernel. Both levels compute bit-identical
 /// results; only throughput differs.
 struct KernelTable {
-  /// Haar forward over `pairs` contiguous (a, b) pairs:
-  /// low[i] = (src[2i] + src[2i+1]) / 2, high[i] = (src[2i] - src[2i+1]) / 2.
-  /// low/high must not alias src.
-  void (*haar_forward_pairs)(const double* src, double* low, double* high, std::size_t pairs);
-  /// Inverse: dst[2i] = low[i] + high[i], dst[2i+1] = low[i] - high[i].
-  /// dst must not alias low/high.
-  void (*haar_inverse_pairs)(const double* low, const double* high, double* dst,
-                             std::size_t pairs);
   /// Min/max over v[0..n). Matches the sequential fold
   /// `lo = (v < lo) ? v : lo` seeded with v[0] (NaN seed is sticky,
   /// later NaNs are ignored), except that a ±0.0 result is canonicalized
@@ -58,11 +50,6 @@ struct KernelTable {
   /// words[i/64] bit (i%64) := (idx[i] >= 0). Overwrites all
   /// (n + 63) / 64 words including padding bits (cleared).
   void (*bitmap_pack_ge0)(const std::int32_t* idx, std::size_t n, std::uint64_t* words);
-  /// out[i] = bit i set ? averages[indices[qi++]] : exact[ei++]; pure
-  /// selection, no arithmetic. The caller guarantees popcount(words) ==
-  /// #indices, n - popcount == #exact, and every index < #averages.
-  void (*bitmap_select)(const std::uint64_t* words, std::size_t n, const double* averages,
-                        const std::uint8_t* indices, const double* exact, double* out);
   /// n doubles -> 8n little-endian bytes (bit pattern, no conversion).
   void (*pack_f64_le)(const double* v, std::size_t n, std::byte* out);
   /// 8n little-endian bytes -> n doubles.

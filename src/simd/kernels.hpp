@@ -20,15 +20,9 @@ namespace wck::simd::detail {
 // --- exact same code path.
 
 /// Portable kernels the AVX2 table reuses: a vector version did not
-/// reach 1.5x over these in bench/micro_kernels (memory-bound, or the
-/// call sites pass too few elements to enter a vector loop), or, for
-/// bitmap_select, did not make a restore faster end to end.
-void haar_forward_pairs(const double* src, double* low, double* high, std::size_t pairs);
-void haar_inverse_pairs(const double* low, const double* high, double* dst, std::size_t pairs);
+/// reach 1.5x over these in bench/micro_kernels (they are memory-bound).
 void pack_f64_le(const double* v, std::size_t n, std::byte* out);
 void unpack_f64_le(const std::byte* in, std::size_t n, double* out);
-void bitmap_select(const std::uint64_t* words, std::size_t n, const double* averages,
-                   const std::uint8_t* indices, const double* exact, double* out);
 
 /// CRC-32 lookup tables (polynomial 0xEDB88320) for slice-by-N; the
 /// scalar reference uses t[0..3], slice-by-8 uses all eight.
@@ -39,8 +33,8 @@ struct CrcTables {
 [[nodiscard]] const CrcTables& crc_tables() noexcept;
 
 /// Slice-by-8 CRC-32 update (same polynomial => same values as the
-/// scalar slice-by-4 reference by construction). The AVX2 table's
-/// crc32_update; it uses no vector instructions.
+/// scalar slice-by-4 reference by construction). The AVX2 CRC hands it
+/// buffers under 64 bytes and the last n % 16 bytes.
 [[nodiscard]] std::uint32_t crc32_update_slice8(std::uint32_t state, const unsigned char* p,
                                                 std::size_t n);
 

@@ -1,11 +1,10 @@
-// AVX2 kernels. This TU is the only one compiled with -mavx2 (and
-// nothing more: no FMA — fused contraction would break bit-identity of
-// separately rounded add-then-multiply sequences).
+// AVX2 kernels. This TU is the only one compiled with -mavx2 and
+// -mpclmul (and nothing more: no FMA — fused contraction would break
+// bit-identity of separately rounded add-then-multiply sequences).
 //
 // Only kernels that beat the scalar reference by >= 1.5x in
 // bench/micro_kernels live here. The table's other slots point at the
-// portable functions (haar, pack/unpack, bitmap_select) and the
-// slice-by-8 CRC.
+// portable functions (f64 pack/unpack).
 //
 // Bit-identity notes, mirrored in tests/simd_test.cpp:
 //  * _mm256_min_pd(x, acc) computes (x < acc) ? x : acc and returns the
@@ -23,9 +22,13 @@
 //  * bitmap_pack_ge0 and adler32 are integer arithmetic
 //    and pure data movement, so equality with scalar is exact by
 //    construction.
+//  * crc32 is carry-less arithmetic over GF(2): the folded register is
+//    congruent to the table-driven one modulo the CRC polynomial, and
+//    the Barrett step returns the unique 32-bit remainder, so the value
+//    equals slice-by-8's exactly.
 #include "simd/kernels.hpp"
 
-#if defined(__x86_64__) && defined(__AVX2__)
+#if defined(__x86_64__) && defined(__AVX2__) && defined(__PCLMUL__)
 
 #include <immintrin.h>
 
@@ -140,10 +143,76 @@ void adler32_update(std::uint32_t* pa, std::uint32_t* pb, const unsigned char* p
   *pb = b;
 }
 
+/// CRC-32 by carry-less multiplication, after Intel's "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction"
+/// (Gopal et al., 2009), in the bit-reflected domain of 0xEDB88320:
+/// fold four 128-bit lanes across 64-byte blocks, fold those lanes into
+/// one, fold the remaining 16-byte blocks, then reduce 128 -> 64 -> 32
+/// bits with a Barrett reduction. `state` and the result are the
+/// running pre-inversion register, as for slice-by-8. Requires n >= 64
+/// and n % 16 == 0.
+std::uint32_t crc32_fold(std::uint32_t state, const unsigned char* p, std::size_t n) {
+  // x^(4*128+32) mod P and x^(4*128-32) mod P, reflected (<<1).
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  // x^(128+32) mod P and x^(128-32) mod P.
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  // x^64 mod P.
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  // P' (the polynomial, reflected) and mu' = floor(x^64 / P), reflected.
+  const __m128i poly_mu = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+  const auto load = [](const unsigned char* q) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
+  };
+  // x * x^a + y: multiply the lane's halves by the two constants, xor in y.
+  const auto fold = [](__m128i x, __m128i k, __m128i y) {
+    const __m128i lo = _mm_clmulepi64_si128(x, k, 0x00);
+    const __m128i hi = _mm_clmulepi64_si128(x, k, 0x11);
+    return _mm_xor_si128(_mm_xor_si128(hi, lo), y);
+  };
+
+  __m128i x1 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(state)));
+  __m128i x2 = load(p + 16);
+  __m128i x3 = load(p + 32);
+  __m128i x4 = load(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    x1 = fold(x1, k1k2, load(p));
+    x2 = fold(x2, k1k2, load(p + 16));
+    x3 = fold(x3, k1k2, load(p + 32));
+    x4 = fold(x4, k1k2, load(p + 48));
+  }
+  x1 = fold(x1, k3k4, x2);
+  x1 = fold(x1, k3k4, x3);
+  x1 = fold(x1, k3k4, x4);
+  for (; n >= 16; p += 16, n -= 16) x1 = fold(x1, k3k4, load(p));
+
+  // 128 -> 64 bits.
+  __m128i x = _mm_xor_si128(_mm_srli_si128(x1, 8), _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x = _mm_xor_si128(_mm_srli_si128(x, 4), _mm_clmulepi64_si128(_mm_and_si128(x, low32), k5, 0x00));
+  // Barrett reduction to 32 bits.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x, low32), poly_mu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly_mu, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x, t), 1));
+}
+
+/// Folds whole 16-byte blocks when there are at least 64 bytes and hands
+/// the last n % 16 bytes (or a short buffer) to slice-by-8.
+std::uint32_t crc32_update(std::uint32_t state, const unsigned char* p, std::size_t n) {
+  if (n >= 64) {
+    const std::size_t blocks = n & ~std::size_t{15};
+    state = crc32_fold(state, p, blocks);
+    p += blocks;
+    n -= blocks;
+  }
+  return crc32_update_slice8(state, p, n);
+}
+
 constexpr KernelTable kAvx2Table{
-    haar_forward_pairs, haar_inverse_pairs, range_min_max, grid_index_batch,
-    bitmap_pack_ge0,    bitmap_select,      pack_f64_le,   unpack_f64_le,
-    crc32_update_slice8, adler32_update,
+    range_min_max, grid_index_batch, bitmap_pack_ge0, pack_f64_le,
+    unpack_f64_le, crc32_update,     adler32_update,
 };
 
 }  // namespace
@@ -152,7 +221,7 @@ const KernelTable* avx2_table() noexcept { return &kAvx2Table; }
 
 }  // namespace wck::simd::detail
 
-#else  // built without AVX2 support: level not available
+#else  // built without AVX2 + PCLMULQDQ support: level not available
 
 namespace wck::simd::detail {
 const KernelTable* avx2_table() noexcept { return nullptr; }

@@ -10,22 +10,6 @@
 
 namespace wck::simd::detail {
 
-void haar_forward_pairs(const double* src, double* low, double* high, std::size_t pairs) {
-  for (std::size_t i = 0; i < pairs; ++i) {
-    const double a = src[2 * i];
-    const double b = src[2 * i + 1];
-    low[i] = (a + b) / 2.0;
-    high[i] = (a - b) / 2.0;
-  }
-}
-
-void haar_inverse_pairs(const double* low, const double* high, double* dst, std::size_t pairs) {
-  for (std::size_t i = 0; i < pairs; ++i) {
-    dst[2 * i] = low[i] + high[i];
-    dst[2 * i + 1] = low[i] - high[i];
-  }
-}
-
 void pack_f64_le(const double* v, std::size_t n, std::byte* out) {
   if (n == 0) return;  // empty vectors hand memcpy a null data() pointer (UB)
   if constexpr (std::endian::native == std::endian::little) {
@@ -52,16 +36,6 @@ void unpack_f64_le(const std::byte* in, std::size_t n, double* out) {
       }
       out[i] = std::bit_cast<double>(bits);
     }
-  }
-}
-
-void bitmap_select(const std::uint64_t* words, std::size_t n, const double* averages,
-                   const std::uint8_t* indices, const double* exact, double* out) {
-  std::size_t qi = 0;
-  std::size_t ei = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool quantized = (words[i / 64] >> (i % 64)) & 1ull;
-    out[i] = quantized ? averages[indices[qi++]] : exact[ei++];
   }
 }
 
@@ -133,9 +107,8 @@ void adler32_update(std::uint32_t* a, std::uint32_t* b, const unsigned char* p, 
 }
 
 constexpr KernelTable kScalarTable{
-    haar_forward_pairs, haar_inverse_pairs, range_min_max, grid_index_batch,
-    bitmap_pack_ge0,    bitmap_select,      pack_f64_le,   unpack_f64_le,
-    crc32_update_slice4, adler32_update,
+    range_min_max, grid_index_batch,    bitmap_pack_ge0, pack_f64_le,
+    unpack_f64_le, crc32_update_slice4, adler32_update,
 };
 
 }  // namespace

@@ -8,6 +8,13 @@
 // one low corner block (LL.., the averages) and 2^rank - 1 high bands.
 // Multi-level transforms recurse into the low corner block.
 //
+// Each axis pass runs tile by tile (haar.cpp): the lines along the axis
+// that share their other indexes, up to the innermost contiguous run,
+// are transformed together, low half in place and high half through a
+// tile-sized scratch, so no line costs a call or a gather/scatter of its
+// own. The per-element arithmetic is exactly Eq. 2-3 and its inverse,
+// so the tiling changes no result bit.
+//
 // The transform is the identity's inverse up to floating-point rounding:
 // A[2i] = L[i] + H[i], A[2i+1] = L[i] - H[i]. Exactly invertible when
 // (A[2i] + A[2i+1]) / 2 is representable (e.g. both values share an

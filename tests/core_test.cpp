@@ -4,13 +4,16 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "core/compressor.hpp"
 #include "core/synthetic.hpp"
 #include "deflate/deflate.hpp"
+#include "encode/payload.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "wavelet/haar.hpp"
 
@@ -188,6 +191,27 @@ TEST(Compressor, OneStagePerKeyAndStagesFitInWallTime) {
                                       "stage.wavelet.seconds"}));
 }
 
+TEST(Compressor, DecompressTimesItsThreeLayersUnderTheirOwnNames) {
+  // decompress() times inflate, decode (parse + fill) and the inverse
+  // transform once each, under names compress() does not use.
+  telemetry::set_enabled(true);
+  auto& registry = telemetry::MetricsRegistry::global();
+  const auto field = make_smooth_field(Shape{128, 128}, 12);
+  const auto comp = WaveletCompressor(spike_params(128)).compress(field);
+  registry.reset();
+  (void)WaveletCompressor::decompress(comp.data);
+  std::vector<std::string> stage_histograms;
+  for (const auto& [name, h] : registry.snapshot().histograms) {
+    if (name.rfind("stage.", 0) != 0 || h.count == 0) continue;
+    stage_histograms.push_back(name);
+    EXPECT_EQ(h.count, 1u) << name;
+  }
+  EXPECT_EQ(stage_histograms,
+            (std::vector<std::string>{"stage.decode.seconds", "stage.inflate.seconds",
+                                      "stage.wavelet_inverse.seconds"}));
+  telemetry::set_enabled(false);
+}
+
 TEST(Compressor, DiagnosticsConsistent) {
   const auto field = make_smooth_field(Shape{32, 32}, 13);
   const auto comp = WaveletCompressor(spike_params(64)).compress(field);
@@ -221,6 +245,217 @@ TEST(Compressor, RandomDataStillRoundTrips) {
   const auto rt = WaveletCompressor(spike_params(128)).round_trip(field);
   EXPECT_EQ(rt.reconstructed.shape(), field.shape());
   EXPECT_LT(rt.error.max_rel, 1.0);
+}
+
+/// Size and CRC-32 of the decoded array for every case of a matrix of
+/// shapes (the paper's 1156x82x2 field, odd extents, rank 1 and 4),
+/// transform depths, wavelets and entropy modes. The digests were
+/// recorded before the decode path was rebuilt around payload views, a
+/// single fill walk and the tiled Haar, so any change to a decoded bit
+/// shows here.
+TEST(DecompressGolden, OutputBitsUnchanged) {
+  struct Case {
+    const char* name;
+    NdArray<double> field;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"fig9", make_temperature_field(Shape{1156, 82, 2}, 2015)});
+  cases.push_back({"odd3", make_temperature_field(Shape{37, 5, 3}, 7)});
+  cases.push_back({"rank1", make_smooth_field(Shape{1001}, 8, 0.3)});
+  cases.push_back({"rank4", make_smooth_field(Shape{7, 5, 6, 3}, 9, 0.3)});
+  const std::pair<WaveletKind, const char*> wavelets[] = {
+      {WaveletKind::kHaar, "haar"}, {WaveletKind::kCdf53, "cdf53"}, {WaveletKind::kCdf97, "cdf97"}};
+  const std::pair<EntropyMode, const char*> entropies[] = {{EntropyMode::kNone, "none"},
+                                                           {EntropyMode::kHuffmanOnly, "huffman"},
+                                                           {EntropyMode::kDeflate, "deflate"}};
+  // "<case> <levels> <wavelet> <entropy> <elements> <crc32>".
+  const std::vector<std::string> expected = {
+      "fig9 1 haar none 189584 f3ca55d5",
+      "fig9 1 haar huffman 189584 f3ca55d5",
+      "fig9 1 haar deflate 189584 f3ca55d5",
+      "fig9 1 cdf53 none 189584 e8f0612c",
+      "fig9 1 cdf53 huffman 189584 e8f0612c",
+      "fig9 1 cdf53 deflate 189584 e8f0612c",
+      "fig9 1 cdf97 none 189584 5207ad1b",
+      "fig9 1 cdf97 huffman 189584 5207ad1b",
+      "fig9 1 cdf97 deflate 189584 5207ad1b",
+      "fig9 2 haar none 189584 0b57c7ff",
+      "fig9 2 haar huffman 189584 0b57c7ff",
+      "fig9 2 haar deflate 189584 0b57c7ff",
+      "fig9 2 cdf53 none 189584 27b84631",
+      "fig9 2 cdf53 huffman 189584 27b84631",
+      "fig9 2 cdf53 deflate 189584 27b84631",
+      "fig9 2 cdf97 none 189584 f8863631",
+      "fig9 2 cdf97 huffman 189584 f8863631",
+      "fig9 2 cdf97 deflate 189584 f8863631",
+      "fig9 3 haar none 189584 3ccb482e",
+      "fig9 3 haar huffman 189584 3ccb482e",
+      "fig9 3 haar deflate 189584 3ccb482e",
+      "fig9 3 cdf53 none 189584 596c1149",
+      "fig9 3 cdf53 huffman 189584 596c1149",
+      "fig9 3 cdf53 deflate 189584 596c1149",
+      "fig9 3 cdf97 none 189584 e5a38883",
+      "fig9 3 cdf97 huffman 189584 e5a38883",
+      "fig9 3 cdf97 deflate 189584 e5a38883",
+      "odd3 1 haar none 555 08a13b60",
+      "odd3 1 haar huffman 555 08a13b60",
+      "odd3 1 haar deflate 555 08a13b60",
+      "odd3 1 cdf53 none 555 91c827f7",
+      "odd3 1 cdf53 huffman 555 91c827f7",
+      "odd3 1 cdf53 deflate 555 91c827f7",
+      "odd3 1 cdf97 none 555 34b299bc",
+      "odd3 1 cdf97 huffman 555 34b299bc",
+      "odd3 1 cdf97 deflate 555 34b299bc",
+      "odd3 2 haar none 555 3c292ce6",
+      "odd3 2 haar huffman 555 3c292ce6",
+      "odd3 2 haar deflate 555 3c292ce6",
+      "odd3 2 cdf53 none 555 bb53f944",
+      "odd3 2 cdf53 huffman 555 bb53f944",
+      "odd3 2 cdf53 deflate 555 bb53f944",
+      "odd3 2 cdf97 none 555 9587f825",
+      "odd3 2 cdf97 huffman 555 9587f825",
+      "odd3 2 cdf97 deflate 555 9587f825",
+      "odd3 3 haar none 555 4c2caa0d",
+      "odd3 3 haar huffman 555 4c2caa0d",
+      "odd3 3 haar deflate 555 4c2caa0d",
+      "odd3 3 cdf53 none 555 3f2c54c2",
+      "odd3 3 cdf53 huffman 555 3f2c54c2",
+      "odd3 3 cdf53 deflate 555 3f2c54c2",
+      "odd3 3 cdf97 none 555 539412af",
+      "odd3 3 cdf97 huffman 555 539412af",
+      "odd3 3 cdf97 deflate 555 539412af",
+      "rank1 1 haar none 1001 f46e3897",
+      "rank1 1 haar huffman 1001 f46e3897",
+      "rank1 1 haar deflate 1001 f46e3897",
+      "rank1 1 cdf53 none 1001 e9d5ca23",
+      "rank1 1 cdf53 huffman 1001 e9d5ca23",
+      "rank1 1 cdf53 deflate 1001 e9d5ca23",
+      "rank1 1 cdf97 none 1001 4e98d2c6",
+      "rank1 1 cdf97 huffman 1001 4e98d2c6",
+      "rank1 1 cdf97 deflate 1001 4e98d2c6",
+      "rank1 2 haar none 1001 99ac018b",
+      "rank1 2 haar huffman 1001 99ac018b",
+      "rank1 2 haar deflate 1001 99ac018b",
+      "rank1 2 cdf53 none 1001 a1c5f2eb",
+      "rank1 2 cdf53 huffman 1001 a1c5f2eb",
+      "rank1 2 cdf53 deflate 1001 a1c5f2eb",
+      "rank1 2 cdf97 none 1001 0276de75",
+      "rank1 2 cdf97 huffman 1001 0276de75",
+      "rank1 2 cdf97 deflate 1001 0276de75",
+      "rank1 3 haar none 1001 ecc97c8c",
+      "rank1 3 haar huffman 1001 ecc97c8c",
+      "rank1 3 haar deflate 1001 ecc97c8c",
+      "rank1 3 cdf53 none 1001 aa0787f4",
+      "rank1 3 cdf53 huffman 1001 aa0787f4",
+      "rank1 3 cdf53 deflate 1001 aa0787f4",
+      "rank1 3 cdf97 none 1001 940806f2",
+      "rank1 3 cdf97 huffman 1001 940806f2",
+      "rank1 3 cdf97 deflate 1001 940806f2",
+      "rank4 1 haar none 630 17da649c",
+      "rank4 1 haar huffman 630 17da649c",
+      "rank4 1 haar deflate 630 17da649c",
+      "rank4 1 cdf53 none 630 5627bbc9",
+      "rank4 1 cdf53 huffman 630 5627bbc9",
+      "rank4 1 cdf53 deflate 630 5627bbc9",
+      "rank4 1 cdf97 none 630 335a1c35",
+      "rank4 1 cdf97 huffman 630 335a1c35",
+      "rank4 1 cdf97 deflate 630 335a1c35",
+      "rank4 2 haar none 630 fb9fe0c5",
+      "rank4 2 haar huffman 630 fb9fe0c5",
+      "rank4 2 haar deflate 630 fb9fe0c5",
+      "rank4 2 cdf53 none 630 501fb92f",
+      "rank4 2 cdf53 huffman 630 501fb92f",
+      "rank4 2 cdf53 deflate 630 501fb92f",
+      "rank4 2 cdf97 none 630 03998535",
+      "rank4 2 cdf97 huffman 630 03998535",
+      "rank4 2 cdf97 deflate 630 03998535",
+      "rank4 3 haar none 630 c8deb6ff",
+      "rank4 3 haar huffman 630 c8deb6ff",
+      "rank4 3 haar deflate 630 c8deb6ff",
+      "rank4 3 cdf53 none 630 58b1a7b1",
+      "rank4 3 cdf53 huffman 630 58b1a7b1",
+      "rank4 3 cdf53 deflate 630 58b1a7b1",
+      "rank4 3 cdf97 none 630 91d10dc0",
+      "rank4 3 cdf97 huffman 630 91d10dc0",
+      "rank4 3 cdf97 deflate 630 91d10dc0",
+  };
+  std::vector<std::string> got;
+  for (const Case& c : cases) {
+    for (int levels = 1; levels <= 3; ++levels) {
+      for (const auto& [wavelet, wname] : wavelets) {
+        for (const auto& [entropy, ename] : entropies) {
+          CompressionParams p = spike_params(128, entropy);
+          p.wavelet_levels = levels;
+          p.wavelet = wavelet;
+          const auto decoded =
+              WaveletCompressor::decompress(WaveletCompressor(p).compress(c.field).data);
+          char line[128];
+          std::snprintf(line, sizeof line, "%s %d %s %s %zu %08x", c.name, levels, wname, ename,
+                        decoded.size(), crc32(decoded.data(), decoded.size_bytes()));
+          got.emplace_back(line);
+        }
+      }
+    }
+  }
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], expected[i]);
+}
+
+/// decode_bands writes the array in memory order; it must still place
+/// every value where for_each_low_band / for_each_high_band (the order
+/// the stream was written in) visit it. Each exact value and low-band
+/// value carries its serialization ordinal; quantized ones carry an
+/// averages entry, checked against the bitmap-order reference.
+TEST(DecodeBands, FillWalkMatchesSerializationOrder) {
+  const std::vector<Shape> shapes = {Shape{13},          Shape{7, 5},   Shape{5, 3, 7},
+                                     Shape{3, 5, 3, 5}, Shape{9, 1, 4}, Shape{1, 7},
+                                     Shape{11, 2}};
+  for (const Shape& shape : shapes) {
+    for (int levels = 1; levels <= 3; ++levels) {
+      for (const bool mixed : {false, true}) {
+        const WaveletPlan plan = WaveletPlan::create(shape, levels);
+        LossyPayload p;
+        p.shape = shape;
+        p.levels = levels;
+        for (int j = 0; j < 200; ++j) p.averages.push_back(-1.0 - j);
+        for (std::size_t i = 0; i < plan.low_count(); ++i) {
+          p.low_band.push_back(static_cast<double>(i));
+        }
+        p.quantized = Bitmap(plan.high_count());
+        std::vector<double> want_high;
+        for (std::size_t k = 0; k < plan.high_count(); ++k) {
+          const bool q = mixed && (((k / 5) % 2 == 0) != (k % 7 == 0));
+          p.quantized.set(k, q);
+          if (q) {
+            p.indices.push_back(static_cast<std::uint8_t>(k % 200));
+            want_high.push_back(p.averages[k % 200]);
+          } else {
+            p.exact_values.push_back(static_cast<double>(plan.low_count() + k));
+            want_high.push_back(p.exact_values.back());
+          }
+        }
+        const Bytes bytes = encode_payload(p);
+        NdArray<double> a = decode_bands(parse_payload(bytes));
+        ASSERT_EQ(a.shape(), shape);
+
+        const std::string where = shape.to_string() + " levels " + std::to_string(levels) +
+                                  (mixed ? " mixed" : " exact");
+        std::size_t li = 0;
+        for_each_low_band(a.view(), plan.final_low_extents(), [&](double& v) {
+          EXPECT_EQ(v, static_cast<double>(li)) << where << " low ordinal " << li;
+          ++li;
+        });
+        std::size_t hi = 0;
+        for_each_high_band(a.view(), plan.final_low_extents(), [&](double& v) {
+          ASSERT_LT(hi, want_high.size()) << where;
+          EXPECT_EQ(v, want_high[hi]) << where << " high ordinal " << hi;
+          ++hi;
+        });
+        EXPECT_EQ(li, plan.low_count()) << where;
+        EXPECT_EQ(hi, plan.high_count()) << where;
+      }
+    }
+  }
 }
 
 TEST(ErrorBound, PicksSmallestSufficientN) {

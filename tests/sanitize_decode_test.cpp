@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "core/synthetic.hpp"
 #include "deflate/deflate.hpp"
 #include "encode/payload.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/mutate.hpp"
 #include "util/rng.hpp"
@@ -112,6 +114,51 @@ TEST(SanitizeDecode, PayloadEveryPrefixRejected) {
     const Bytes prefix(enc.begin(), enc.begin() + static_cast<std::ptrdiff_t>(n));
     EXPECT_THROW((void)decode_payload(prefix), Error) << "prefix length " << n;
   }
+}
+
+/// A header-only payload with a valid CRC whose counts claim far more
+/// data than the stream holds: `extents` of a rank-extents.size() array
+/// and the four section counts. Nothing but the header and the CRC.
+Bytes header_only_payload(std::initializer_list<std::uint64_t> extents, std::uint64_t n_low,
+                          std::uint64_t n_high) {
+  ByteWriter w;
+  w.u32(0x4C4B4357);  // "WCKL"
+  w.u8(2);            // version
+  w.u8(static_cast<std::uint8_t>(QuantizerKind::kSpike));
+  w.u8(static_cast<std::uint8_t>(WaveletKind::kHaar));
+  w.u8(static_cast<std::uint8_t>(extents.size()));
+  w.u8(1);  // levels
+  for (const std::uint64_t e : extents) w.varint(e);
+  w.varint(0);  // averages
+  w.varint(n_low);
+  w.varint(n_high);
+  w.varint(0);  // indexes
+  w.u32(crc32(std::span<const std::byte>(w.buffer())));
+  return w.take();
+}
+
+/// Header counts are checked against the bytes present before anything
+/// is sized: a few dozen bytes must not make a decoder allocate (or try
+/// to allocate) the array they describe.
+TEST(SanitizeDecode, HeaderCountsCannotForceAllocation) {
+  const Bytes streams[] = {
+      // 2^25 doubles (256 MiB) in 28 bytes once the entropy tag is added.
+      header_only_payload({std::uint64_t{1} << 25}, std::uint64_t{1} << 24,
+                          std::uint64_t{1} << 24),
+      // 2^44 elements: once std::bad_alloc, not a FormatError.
+      header_only_payload({std::uint64_t{1} << 22, std::uint64_t{1} << 22},
+                          std::uint64_t{1} << 42, std::uint64_t{3} << 42),
+      // Extents whose product wraps to 0 in 64 bits.
+      header_only_payload({std::uint64_t{1} << 32, std::uint64_t{1} << 32}, 0, 0),
+  };
+  for (const Bytes& payload : streams) {
+    Bytes stream{std::byte{0}};  // entropy tag 0: the payload as stored
+    stream.insert(stream.end(), payload.begin(), payload.end());
+    EXPECT_THROW((void)decode_payload(payload), FormatError) << payload.size() << " bytes";
+    EXPECT_THROW((void)WaveletCompressor::decompress(stream), FormatError) << stream.size();
+    EXPECT_THROW((void)WaveletCompressor::inspect(stream), FormatError) << stream.size();
+  }
+  EXPECT_EQ(streams[0].size() + 1, 28u);
 }
 
 /// Full compressed stream (payload + DEFLATE container): mutations land

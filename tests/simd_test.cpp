@@ -5,6 +5,7 @@
 // end-to-end compressed-output equality across levels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -138,49 +139,6 @@ TEST(SimdDispatch, KernelsForRejectsUnavailableLevel) {
   EXPECT_THROW((void)simd::kernels_for(Level::kAvx2), InvalidArgumentError);
 }
 
-TEST(SimdKernels, HaarForwardPairsBitIdentical) {
-  for (const Level lv : vector_levels()) {
-    const KernelTable& k = simd::kernels_for(lv);
-    for (const std::size_t pairs : kLengths) {
-      auto src = mixed_values(2 * pairs, 17 + pairs);
-      if (!src.empty()) src[src.size() / 2] = kNaN;
-      std::vector<double> lo_ref(pairs), hi_ref(pairs), lo(pairs), hi(pairs);
-      scalar().haar_forward_pairs(src.data(), lo_ref.data(), hi_ref.data(), pairs);
-      k.haar_forward_pairs(src.data(), lo.data(), hi.data(), pairs);
-      expect_bits_equal(lo, lo_ref, "haar_forward low", lv);
-      expect_bits_equal(hi, hi_ref, "haar_forward high", lv);
-    }
-  }
-}
-
-TEST(SimdKernels, HaarInversePairsBitIdentical) {
-  for (const Level lv : vector_levels()) {
-    const KernelTable& k = simd::kernels_for(lv);
-    for (const std::size_t pairs : kLengths) {
-      const auto lo = mixed_values(pairs, 23 + pairs);
-      const auto hi = mixed_values(pairs, 29 + pairs);
-      std::vector<double> dst_ref(2 * pairs), dst(2 * pairs);
-      scalar().haar_inverse_pairs(lo.data(), hi.data(), dst_ref.data(), pairs);
-      k.haar_inverse_pairs(lo.data(), hi.data(), dst.data(), pairs);
-      expect_bits_equal(dst, dst_ref, "haar_inverse", lv);
-    }
-  }
-}
-
-TEST(SimdKernels, HaarRoundTripIsExactForDyadicData) {
-  // (a+b)/2 ± (a-b)/2 reconstructs exactly when inputs are representable
-  // sums; integers are, at any level.
-  for (const Level lv : simd::available_levels()) {
-    const KernelTable& k = simd::kernels_for(lv);
-    std::vector<double> src(64);
-    for (std::size_t i = 0; i < src.size(); ++i) src[i] = static_cast<double>(i * 3 % 41);
-    std::vector<double> lo(32), hi(32), back(64);
-    k.haar_forward_pairs(src.data(), lo.data(), hi.data(), 32);
-    k.haar_inverse_pairs(lo.data(), hi.data(), back.data(), 32);
-    expect_bits_equal(back, src, "haar round trip", lv);
-  }
-}
-
 TEST(SimdKernels, RangeMinMaxBitIdentical) {
   for (const Level lv : vector_levels()) {
     const KernelTable& k = simd::kernels_for(lv);
@@ -277,38 +235,6 @@ TEST(SimdKernels, BitmapPackGe0BitIdentical) {
   }
 }
 
-TEST(SimdKernels, BitmapSelectBitIdentical) {
-  std::mt19937_64 rng(1234);
-  for (const Level lv : vector_levels()) {
-    const KernelTable& k = simd::kernels_for(lv);
-    // Densities chosen to produce all-ones words, all-zeros words, and
-    // mixed words (the three word-level paths).
-    for (const double density : {0.0, 0.03, 0.5, 0.97, 1.0}) {
-      for (const std::size_t n : kLengths) {
-        std::vector<std::uint64_t> words((n + 63) / 64, 0);
-        std::vector<std::uint8_t> indices;
-        std::vector<double> exact;
-        const auto averages = mixed_values(256, 5);
-        std::uniform_real_distribution<double> uni(0.0, 1.0);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (uni(rng) < density) {
-            words[i / 64] |= 1ull << (i % 64);
-            indices.push_back(static_cast<std::uint8_t>(rng() % 256));
-          } else {
-            exact.push_back(static_cast<double>(i) * 1.25 - 3.0);
-          }
-        }
-        std::vector<double> ref(n, -1.0), got(n, -2.0);
-        scalar().bitmap_select(words.data(), n, averages.data(), indices.data(), exact.data(),
-                               ref.data());
-        k.bitmap_select(words.data(), n, averages.data(), indices.data(), exact.data(),
-                        got.data());
-        expect_bits_equal(got, ref, "bitmap_select", lv);
-      }
-    }
-  }
-}
-
 TEST(SimdKernels, PackUnpackF64BitIdentical) {
   for (const Level lv : vector_levels()) {
     const KernelTable& k = simd::kernels_for(lv);
@@ -338,22 +264,42 @@ TEST(SimdKernels, Crc32BitIdenticalAndKnownVector) {
   const char* check = "123456789";
   EXPECT_EQ(crc32(check, 9), 0xCBF43926u);
 
+  // 1 MiB of random bytes plus 16 bytes of slack, so every length can
+  // start at every offset within a 16-byte lane.
   std::mt19937_64 rng(777);
+  std::vector<unsigned char> buf((std::size_t{1} << 20) + 16);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng());
   for (const Level lv : vector_levels()) {
     const KernelTable& k = simd::kernels_for(lv);
-    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{7},
-                                std::size_t{8}, std::size_t{9}, std::size_t{64},
-                                std::size_t{1000}, std::size_t{65537}}) {
-      std::vector<unsigned char> buf(n);
-      for (auto& b : buf) b = static_cast<unsigned char>(rng());
-      const std::uint32_t ref = scalar().crc32_update(0xFFFFFFFFu, buf.data(), n);
-      EXPECT_EQ(k.crc32_update(0xFFFFFFFFu, buf.data(), n), ref)
-          << "n=" << n << " @ " << simd::to_string(lv);
-      // Split updates must continue the same register.
-      const std::size_t cut = n / 3;
-      const std::uint32_t mid = k.crc32_update(0xFFFFFFFFu, buf.data(), cut);
-      EXPECT_EQ(k.crc32_update(mid, buf.data() + cut, n - cut), ref);
+    // Every length through the 64-byte fold threshold, the 16-byte
+    // blocks and the slice-by-8 tail, at every start alignment.
+    for (std::size_t off = 0; off < 16; ++off) {
+      for (std::size_t n = 0; n <= 512; ++n) {
+        const unsigned char* p = buf.data() + off;
+        ASSERT_EQ(k.crc32_update(0xFFFFFFFFu, p, n), scalar().crc32_update(0xFFFFFFFFu, p, n))
+            << "n=" << n << " offset " << off << " @ " << simd::to_string(lv);
+      }
     }
+    const std::size_t mib = std::size_t{1} << 20;
+    const std::uint32_t ref = scalar().crc32_update(0xFFFFFFFFu, buf.data(), mib);
+    EXPECT_EQ(k.crc32_update(0xFFFFFFFFu, buf.data(), mib), ref) << simd::to_string(lv);
+    // Chained updates must continue the same register, whichever side of
+    // a fold boundary the cut falls on.
+    for (const std::size_t cut : {1, 15, 16, 63, 64, 65}) {
+      const std::uint32_t mid = k.crc32_update(0xFFFFFFFFu, buf.data(), cut);
+      EXPECT_EQ(k.crc32_update(mid, buf.data() + cut, mib - cut), ref)
+          << "cut " << cut << " @ " << simd::to_string(lv);
+    }
+  }
+
+  // The public accumulator, split across calls at the active level.
+  const std::uint32_t whole = crc32(buf.data(), 5000);
+  for (const std::size_t cut : {0, 1, 15, 16, 63, 64, 65, 100, 4999, 5000}) {
+    Crc32 c;
+    c.update(buf.data(), cut);
+    c.update(buf.data() + cut, 2000 - std::min<std::size_t>(cut, 2000));
+    c.update(buf.data() + std::max<std::size_t>(cut, 2000), 5000 - std::max<std::size_t>(cut, 2000));
+    EXPECT_EQ(c.value(), whole) << "cut " << cut;
   }
 }
 
@@ -433,9 +379,24 @@ TEST(SimdQuantizer, AnalyzeIsLevelInvariant) {
   }
 }
 
+TEST(SimdWavelet, HaarRoundTripIsExactForDyadicData) {
+  // (a+b)/2 ± (a-b)/2 reconstructs exactly when inputs are representable
+  // sums; integers are, at any level.
+  for (const Level lv : simd::available_levels()) {
+    simd::set_active_level_for_test(lv);
+    NdArray<double> a(Shape{64});
+    for (std::size_t i = 0; i < a.size(); ++i) a[i] = static_cast<double>(i * 3 % 41);
+    const NdArray<double> src = a;
+    haar_forward(a.view(), 1);
+    haar_inverse(a.view(), 1);
+    expect_bits_equal(a.values(), src.values(), "haar round trip", lv);
+  }
+  simd::reset_active_level_for_test();
+}
+
 TEST(SimdWavelet, TransformBitIdenticalAcrossLevelsOnStridedLines) {
-  // Odd extents in 1-D/2-D/3-D: the innermost axis takes the stride-1
-  // kernel fast path, outer axes exercise the strided scalar path, and
+  // Odd extents in 1-D/2-D/3-D: the innermost axis runs as one-double
+  // tile rows, outer axes as strided tiles of contiguous rows, and
   // subblock recursion mixes both.
   const std::vector<Shape> shapes = {Shape{129}, Shape{33, 17}, Shape{9, 7, 11}};
   for (const Shape& shape : shapes) {

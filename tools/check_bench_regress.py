@@ -35,6 +35,12 @@ Exceptions — baseline-less records that are self-baselining:
     inflating the serial stream may take at most ZLIB_INFLATE_TIME_MULT
     (1.25x) the time of zlib's uncompress on it; without those params
     the check prints "skipped (no zlib inflate row)".
+    The restore row (decompress_s, decompress_inflate_s) holds a whole
+    WaveletCompressor::decompress of the paper-size field to at most
+    DECOMPRESS_OVER_INFLATE_MULT times the serial inflate of the same
+    stream: what a restore adds to inflating (payload parse, band fill,
+    inverse transform) must stay a fraction of it. Without those params
+    the check prints "skipped (no decompress row)".
   * a record carrying simd_best_level in its params
     (bench/micro_kernels): on vector-capable hardware (best level is
     not "scalar") at least --simd-min-kernels of the speedup_<kernel>
@@ -62,6 +68,8 @@ ZLIB_TIME_MULT = 1.25  # serial deflate time over zlib level 6's, same payload
 ZLIB_CALL_MULT = 2.0   # one 2 KB deflate call over zlib's
 ZLIB_INFLATE_KEYS = ("serial_decompress_s", "zlib_decompress_s")
 ZLIB_INFLATE_TIME_MULT = 1.25  # serial inflate time over zlib's uncompress, same stream
+DECOMPRESS_KEYS = ("decompress_s", "decompress_inflate_s")
+DECOMPRESS_OVER_INFLATE_MULT = 1.9  # whole restore over the inflate inside it
 
 
 def load_records(path):
@@ -182,10 +190,11 @@ class Gate:
                       f"({serial} -> {sharded}, tolerance +{self.sharded_tol:.0%})")
         self.check_zlib_speed(name, params)
         self.check_zlib_inflate_speed(name, params)
+        self.check_decompress_speed(name, params)
         return True
 
-    def zlib_row(self, name, params, keys, row):
-        """The named zlib row's params as floats; None when absent or bad.
+    def param_row(self, name, params, keys, row):
+        """The named row's params as floats; None when absent or bad.
 
         An absent row prints a skip notice; a partial or non-numeric row
         is a failure.
@@ -208,7 +217,7 @@ class Gate:
 
     def check_zlib_speed(self, name, params):
         """Self-baselining speed check against system zlib on the same input."""
-        v = self.zlib_row(name, params, ZLIB_KEYS, "zlib")
+        v = self.param_row(name, params, ZLIB_KEYS, "zlib")
         if v is None:
             return
         if v["zlib_compress_s"] <= 0 or v["zlib_call_us"] <= 0:
@@ -227,7 +236,7 @@ class Gate:
 
     def check_zlib_inflate_speed(self, name, params):
         """Self-baselining inflate speed check against zlib's uncompress."""
-        v = self.zlib_row(name, params, ZLIB_INFLATE_KEYS, "zlib inflate")
+        v = self.param_row(name, params, ZLIB_INFLATE_KEYS, "zlib inflate")
         if v is None:
             return
         if v["zlib_decompress_s"] <= 0:
@@ -238,6 +247,20 @@ class Gate:
         if ratio > ZLIB_INFLATE_TIME_MULT:
             self.fail(f"{name}: serial inflate takes {ratio:.2f}x zlib's time "
                       f"(limit {ZLIB_INFLATE_TIME_MULT:g}x)")
+
+    def check_decompress_speed(self, name, params):
+        """Self-baselining restore check: decompress over its own inflate."""
+        v = self.param_row(name, params, DECOMPRESS_KEYS, "decompress")
+        if v is None:
+            return
+        if v["decompress_inflate_s"] <= 0:
+            self.fail(f"{name}: inflate reference time must be positive "
+                      f"({v['decompress_inflate_s']})")
+            return
+        ratio = v["decompress_s"] / v["decompress_inflate_s"]
+        if ratio > DECOMPRESS_OVER_INFLATE_MULT:
+            self.fail(f"{name}: decompress takes {ratio:.2f}x the inflate inside it "
+                      f"(limit {DECOMPRESS_OVER_INFLATE_MULT:g}x)")
 
     def check_simd_speedup(self, name, record):
         """Self-baselining check for SIMD kernel throughput records.

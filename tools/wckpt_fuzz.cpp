@@ -36,6 +36,7 @@
 #include "fpc/fpc.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/mutate.hpp"
 #include "util/rng.hpp"
@@ -82,6 +83,22 @@ std::vector<CorpusEntry> build_corpus() {
     params.quantizer.divisions = 64;
     params.entropy = mode;
     corpus.push_back({name, WaveletCompressor(params).compress(field).data,
+                      [](const Bytes& b) { (void)WaveletCompressor::decompress(b); }});
+  }
+  {
+    // A tag-0 stream whose header claims 2^25 doubles in 28 bytes: the
+    // decoder must reject its counts before sizing anything.
+    ByteWriter w;
+    w.u8(0);  // entropy tag: the payload as stored
+    w.u32(0x4C4B4357);
+    for (const std::uint8_t b : {2, 0, 0, 1, 1}) w.u8(b);  // version..levels
+    for (const std::uint64_t v : {std::uint64_t{1} << 25, std::uint64_t{0},
+                                  std::uint64_t{1} << 24, std::uint64_t{1} << 24,
+                                  std::uint64_t{0}}) {
+      w.varint(v);  // extent, then the averages/low/high/index counts
+    }
+    w.u32(crc32(std::span<const std::byte>(w.buffer()).subspan(1)));
+    corpus.push_back({"wavelet-oversized-counts", w.take(),
                       [](const Bytes& b) { (void)WaveletCompressor::decompress(b); }});
   }
   {
