@@ -5,9 +5,7 @@
 #include "core/truncation.hpp"
 #include "deflate/deflate.hpp"
 #include "fpc/fpc.hpp"
-#include "szlike/lorenzo.hpp"
 #include "util/error.hpp"
-#include "zfplike/block_codec.hpp"
 
 namespace wck {
 namespace {
@@ -91,24 +89,6 @@ NdArray<double> FpcCodec::do_decode(std::span<const std::byte> data) const {
   return NdArray<double>(shape, std::move(values));
 }
 
-Bytes SzLikeCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
-  WCK_STAGE("szlike", times);
-  return szlike_compress(array, SzLikeOptions{error_bound_, 6});
-}
-
-NdArray<double> SzLikeCodec::do_decode(std::span<const std::byte> data) const {
-  return szlike_decompress(data);
-}
-
-Bytes ZfpLikeCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
-  WCK_STAGE("zfplike", times);
-  return zfplike_compress(array, ZfpLikeOptions{precision_, 6});
-}
-
-NdArray<double> ZfpLikeCodec::do_decode(std::span<const std::byte> data) const {
-  return zfplike_decompress(data);
-}
-
 Bytes TruncationCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
   WCK_STAGE("truncation", times);
   return truncation_compress(array, keep_, level_);
@@ -124,15 +104,11 @@ const Codec& codec_for_decoding(std::string_view name) {
   static const WaveletLossyCodec kLossy;
   static const FpcCodec kFpc;
   static const TruncationCodec kTruncation;
-  static const SzLikeCodec kSzLike;
-  static const ZfpLikeCodec kZfpLike;
   if (name == "null") return kNull;
   if (name == "gzip") return kGzip;
   if (name == "wavelet-lossy") return kLossy;
   if (name == "fpc") return kFpc;
   if (name == "truncation") return kTruncation;
-  if (name == "szlike") return kSzLike;
-  if (name == "zfplike") return kZfpLike;
   throw FormatError("unknown checkpoint codec: " + std::string(name));
 }
 

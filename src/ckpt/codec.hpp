@@ -112,40 +112,6 @@ class FpcCodec final : public Codec {
   int table_log2_;
 };
 
-/// SZ-style error-bounded lossy compression (src/szlike): Lorenzo
-/// prediction + residual quantization, guaranteeing a pointwise
-/// absolute error bound — the related-work family ([31][32]) the SZ
-/// line later standardized.
-class SzLikeCodec final : public Codec {
- public:
-  explicit SzLikeCodec(double error_bound = 1e-3) : error_bound_(error_bound) {}
-  [[nodiscard]] std::string name() const override { return "szlike"; }
-  [[nodiscard]] bool lossy() const override { return true; }
-
-  [[nodiscard]] double error_bound() const noexcept { return error_bound_; }
-
- private:
-  [[nodiscard]] Bytes do_encode(const NdArray<double>& array, StageTimes* times) const override;
-  [[nodiscard]] NdArray<double> do_decode(std::span<const std::byte> data) const override;
-
-  double error_bound_;
-};
-
-/// ZFP-inspired block-transform lossy compression (src/zfplike): block
-/// floating point + integer lifting, fixed block-relative precision.
-class ZfpLikeCodec final : public Codec {
- public:
-  explicit ZfpLikeCodec(int precision = 20) : precision_(precision) {}
-  [[nodiscard]] std::string name() const override { return "zfplike"; }
-  [[nodiscard]] bool lossy() const override { return true; }
-
- private:
-  [[nodiscard]] Bytes do_encode(const NdArray<double>& array, StageTimes* times) const override;
-  [[nodiscard]] NdArray<double> do_decode(std::span<const std::byte> data) const override;
-
-  int precision_;
-};
-
 /// Mantissa-truncation lossy baseline (src/core/truncation): bounds the
 /// pointwise relative error at 2^-kept but ignores spatial structure.
 class TruncationCodec final : public Codec {

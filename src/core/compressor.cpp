@@ -6,7 +6,6 @@
 #include <cstring>
 #include <string>
 
-#include "deflate/deflate.hpp"
 #include "deflate/huffman_only.hpp"
 #include "deflate/parallel.hpp"
 #include "simd/dispatch.hpp"
@@ -17,26 +16,21 @@
 namespace wck {
 namespace {
 
+// Entropy tags. A stream is readable iff its tag is one compress() can
+// write (DESIGN.md, "Format-read policy"); tags 1 (zlib) and 2 (gzip)
+// are retired and read as unknown.
 constexpr std::uint8_t kTagNone = 0;
-constexpr std::uint8_t kTagZlib = 1;     ///< read-only: no longer written
-constexpr std::uint8_t kTagGzip = 2;     ///< read-only: no longer written
 constexpr std::uint8_t kTagHuffman = 3;
 constexpr std::uint8_t kTagSharded = 4;  ///< WCKP block deflate container
 
 /// Undoes the entropy stage behind `tag`, returning the formatted
 /// payload (a view of `body`, or of `storage` when it had to be
-/// decoded). Throws FormatError for an unknown tag.
+/// decoded). Throws FormatError for a tag compress() does not write.
 std::span<const std::byte> entropy_decode(std::uint8_t tag, std::span<const std::byte> body,
                                           Bytes& storage) {
   switch (tag) {
     case kTagNone:
       return body;
-    case kTagZlib:
-      storage = zlib_decompress(body);
-      break;
-    case kTagGzip:
-      storage = gzip_decompress(body);
-      break;
     case kTagHuffman:
       storage = huffman_only_decompress(body);
       break;

@@ -99,8 +99,8 @@ struct StreamInfo {
   int levels = 0;
   WaveletKind wavelet = WaveletKind::kHaar;
   QuantizerKind quantizer = QuantizerKind::kSpike;
-  std::uint8_t entropy_tag = 0;      ///< 0 none, 3 Huffman-only, 4 WCKP deflate;
-                                     ///< 1 zlib / 2 gzip are read-only legacy
+  std::uint8_t entropy_tag = 0;      ///< 0 none, 3 Huffman-only, 4 WCKP deflate
+                                     ///< (the only tags a stream can carry)
   std::size_t averages_count = 0;    ///< quantization table size (== effective n)
   std::size_t high_count = 0;        ///< high-band elements (bitmap size)
   std::size_t quantized_count = 0;   ///< of which stored as 1-byte indexes

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <optional>
 #include <string>
 #include <thread>
@@ -40,10 +39,10 @@ struct BlockEntry {
   std::uint32_t crc = 0;
 };
 
-/// The compression fan-out runs on a process-shared pool sized to the
-/// machine, not a pool-per-call: checkpoint codecs may compress from
-/// several threads at once (chunked compression, async writers) and the
-/// shards of all of them should multiplex over one set of workers.
+/// The block fan-out runs on a process-shared pool sized to the machine,
+/// not a pool per call: checkpoint codecs may compress from several
+/// threads at once (async writers, concurrent service requests) and the
+/// blocks of all of them should multiplex over one set of workers.
 /// Deliberately leaked — workers may touch telemetry singletons, so the
 /// pool must never be destroyed during static teardown. Still reachable
 /// through the static pointer, so LeakSanitizer stays quiet.
@@ -53,10 +52,10 @@ ThreadPool& shared_pool() {
 }
 
 /// Runs fn(i) for i in [0, n) using at most `threads` concurrent strips
-/// (strip w owns every i with i % strips == w). Unlike
-/// ThreadPool::parallel_for this honors a caller-requested width below
-/// the pool size, which is what makes WCK_THREADS=1 vs =8 a pure
-/// wall-clock knob. Strip tasks never submit further pool work, so a
+/// (strip w owns every i with i % strips == w), so WCK_THREADS=1 vs =8
+/// is a pure wall-clock knob. strips <= thread_count(), so parallel_for
+/// gives each strip exactly one task; the first error any block throws
+/// is rethrown here. Strip tasks never submit further pool work, so a
 /// caller already running on some *other* pool cannot deadlock here.
 /// Inline work never touches the pool, so a process that only ever
 /// compresses inline never builds it.
@@ -68,32 +67,9 @@ void for_each_block(std::size_t n, std::size_t threads, const Fn& fn) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  std::vector<std::future<void>> futs;
-  futs.reserve(strips);
-  try {
-    for (std::size_t w = 0; w < strips; ++w) {
-      futs.push_back(shared_pool().submit([w, strips, n, &fn] {
-        for (std::size_t i = w; i < n; i += strips) fn(i);
-      }));
-    }
-  } catch (...) {
-    for (auto& f : futs) {
-      try {
-        f.get();
-      } catch (...) {  // NOLINT(bugprone-empty-catch)
-      }
-    }
-    throw;
-  }
-  std::exception_ptr first_error;
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  shared_pool().parallel_for(0, strips, [n, strips, &fn](std::size_t w) {
+    for (std::size_t i = w; i < n; i += strips) fn(i);
+  });
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -245,15 +221,6 @@ Bytes sharded_deflate_decompress(std::span<const std::byte> input, std::size_t t
     if (timed) WCK_HISTOGRAM_RECORD("deflate.block.seconds", seconds_since(start));
   });
   return out;
-}
-
-bool is_sharded_deflate(std::span<const std::byte> data) noexcept {
-  if (data.size() < 4) return false;
-  std::uint32_t magic = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    magic |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(data[i])) << (8 * i);
-  }
-  return magic == kShardedMagic;
 }
 
 std::size_t resolve_deflate_threads(int requested) {

@@ -80,9 +80,6 @@ struct ShardedDeflateOptions {
 [[nodiscard]] Bytes sharded_deflate_decompress(std::span<const std::byte> input,
                                                std::size_t threads = 0);
 
-/// True when `data` starts with the WCKP magic (cheap container sniff).
-[[nodiscard]] bool is_sharded_deflate(std::span<const std::byte> data) noexcept;
-
 /// Resolves a CompressionParams/CLI-style worker request to a count:
 ///   requested >= 1  -> that many workers (1 = inline on the caller)
 ///   requested == 0  -> WCK_THREADS: unset or empty means 1; "0" or

@@ -1,8 +1,9 @@
 // A fixed-size thread pool with a parallel_for convenience.
 //
 // The paper compresses each process's checkpoint independently
-// ("embarrassingly parallel", Sec. IV-D); within one process we use this
-// pool to compress multiple arrays / chunks concurrently.
+// ("embarrassingly parallel", Sec. IV-D). Within one process this pool
+// runs the WCKP block fan-out (deflate/parallel.cpp) and the simulated
+// ranks of bench/ext_weak_scaling.
 #pragma once
 
 #include <chrono>

@@ -86,11 +86,12 @@ TEST(Codecs, StageTimesAccumulated) {
 }
 
 TEST(Codecs, DecoderRegistryResolvesNames) {
-  for (const char* name :
-       {"null", "gzip", "wavelet-lossy", "fpc", "truncation", "szlike", "zfplike"}) {
+  for (const char* name : {"null", "gzip", "wavelet-lossy", "fpc", "truncation"}) {
     EXPECT_EQ(codec_for_decoding(name).name(), name);
   }
-  EXPECT_THROW((void)codec_for_decoding("bzip2"), FormatError);
+  for (const char* name : {"bzip2", "szlike", "zfplike"}) {
+    EXPECT_THROW((void)codec_for_decoding(name), FormatError) << name;
+  }
 }
 
 TEST(Codecs, EveryLossyCodecRoundTripsThroughCheckpoints) {
@@ -99,12 +100,9 @@ TEST(Codecs, EveryLossyCodecRoundTripsThroughCheckpoints) {
   CheckpointRegistry reg;
   reg.add("state", &state);
   const WaveletLossyCodec wavelet;
-  const SzLikeCodec szlike(1e-2);
-  const ZfpLikeCodec zfplike(20);
   const TruncationCodec truncation(20);
   for (const Codec* codec :
-       {static_cast<const Codec*>(&wavelet), static_cast<const Codec*>(&szlike),
-        static_cast<const Codec*>(&zfplike), static_cast<const Codec*>(&truncation)}) {
+       {static_cast<const Codec*>(&wavelet), static_cast<const Codec*>(&truncation)}) {
     state = field;
     const Bytes data = serialize_checkpoint(reg, *codec, 1);
     state = NdArray<double>(field.shape(), 0.0);

@@ -1,10 +1,9 @@
-// Unit tests for the thread pool and simulated-rank harness.
+// Unit tests for the thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 
-#include "parallel/rank_set.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
 
@@ -57,19 +56,6 @@ TEST(ThreadPoolTest, ManyTasksComplete) {
   }
   for (auto& f : futs) f.get();
   EXPECT_EQ(done.load(), 500);
-}
-
-TEST(RankSetTest, RunVisitsEveryRank) {
-  RankSet ranks(17, 4);
-  std::vector<std::atomic<int>> hits(17);
-  ranks.run([&](std::size_t r) { hits[r].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(RankSetTest, MapGathersPerRankResults) {
-  RankSet ranks(8, 2);
-  const auto out = ranks.map<std::size_t>([](std::size_t r) { return r * r; });
-  for (std::size_t r = 0; r < 8; ++r) EXPECT_EQ(out[r], r * r);
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 // Builds a corpus of valid encoded artifacts — a Fig. 5 payload, full
 // WaveletCompressor streams (serial and sharded-parallel), a multi-field
 // checkpoint, raw DEFLATE with the gzip/zlib/WCKP containers, FPC and
-// chunked streams — then applies seeded random
-// mutations (bit flips, truncations, length-field corruption; see
-// util/mutate.hpp) and feeds each mutant to its decoder. The contract:
+// truncation streams — then applies seeded random mutations (bit
+// flips, truncations, length-field corruption; see util/mutate.hpp) and
+// feeds each mutant to its decoder. The contract:
 // every decoder either throws a typed wck::Error or returns a valid
 // result. Any other exception, crash, or sanitizer report is a defect.
 //
@@ -25,7 +25,6 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/codec.hpp"
-#include "core/chunked.hpp"
 #include "core/compressor.hpp"
 #include "core/synthetic.hpp"
 #include "core/truncation.hpp"
@@ -102,20 +101,6 @@ std::vector<CorpusEntry> build_corpus() {
                       [](const Bytes& b) { (void)WaveletCompressor::decompress(b); }});
   }
   {
-    // Tag 1 (one zlib stream) is no longer written but still decoded,
-    // so older store generations restore; keep that decoder fuzzed.
-    CompressionParams params;
-    params.quantizer.divisions = 64;
-    params.entropy = EntropyMode::kNone;
-    const Bytes plain = WaveletCompressor(params).compress(field).data;
-    Bytes legacy{std::byte{1}};
-    const Bytes body = zlib_compress(std::span<const std::byte>(plain).subspan(1));
-    legacy.insert(legacy.end(), body.begin(), body.end());
-    corpus.push_back({"wavelet-zlib-legacy", std::move(legacy),
-                      [](const Bytes& b) { (void)WaveletCompressor::decompress(b); }});
-  }
-
-  {
     NdArray<double> a = make_smooth_field(Shape{24, 24}, 21);
     NdArray<double> b = make_temperature_field(Shape{16, 16}, 22);
     CheckpointRegistry reg;
@@ -173,11 +158,6 @@ std::vector<CorpusEntry> build_corpus() {
                     [](const Bytes& b) { (void)fpc_decompress(b); }});
   corpus.push_back({"truncation", truncation_compress(field, 20),
                     [](const Bytes& b) { (void)truncation_decompress(b); }});
-  {
-    ChunkedParams cp;
-    corpus.push_back({"chunked", chunked_compress(field, cp).data,
-                      [](const Bytes& b) { (void)chunked_decompress(b); }});
-  }
 
   // Store-service wire frames: mutants hit the frame header (magic,
   // version, length, CRC) and the message body decoders. The one-shot
