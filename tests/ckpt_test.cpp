@@ -4,6 +4,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <span>
+#include <string>
+#include <utility>
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/codec.hpp"
@@ -240,6 +243,42 @@ TEST(Checkpoint, TruncationDetected) {
               data.begin() + static_cast<std::ptrdiff_t>(static_cast<double>(data.size()) * frac));
     TwoFieldApp other;
     EXPECT_THROW((void)restore_checkpoint(cut, other.registry), Error);
+  }
+}
+
+/// Stores raw doubles like NullCodec under another codec name, to write
+/// checkpoints the decoder registry does not know.
+class RenamedNullCodec final : public Codec {
+ public:
+  explicit RenamedNullCodec(std::string name) : name_(std::move(name)) {}
+  [[nodiscard]] std::string name() const override { return name_; }
+  [[nodiscard]] bool lossy() const override { return false; }
+
+ private:
+  [[nodiscard]] Bytes do_encode(const NdArray<double>& array, StageTimes* times) const override {
+    return NullCodec{}.encode(array, times);
+  }
+  [[nodiscard]] NdArray<double> do_decode(std::span<const std::byte> data) const override {
+    return NullCodec{}.decode(data);
+  }
+  std::string name_;
+};
+
+TEST(Checkpoint, RetiredCodecNamesRejectedOnRestore) {
+  // szlike and zfplike were checkpoint codecs once; a file naming them
+  // is now refused as a format error and restores nothing.
+  for (const char* name : {"szlike", "zfplike"}) {
+    TwoFieldApp app;
+    const Bytes data = serialize_checkpoint(app.registry, RenamedNullCodec(name), 1);
+    TwoFieldApp other;
+    other.temp = NdArray<double>(other.temp.shape(), 0.0);
+    try {
+      (void)restore_checkpoint(data, other.registry);
+      ADD_FAILURE() << "codec " << name << " accepted";
+    } catch (const FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(other.temp, NdArray<double>(app.temp.shape(), 0.0)) << name;
   }
 }
 

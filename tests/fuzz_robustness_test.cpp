@@ -10,6 +10,7 @@
 #include "core/truncation.hpp"
 #include "deflate/deflate.hpp"
 #include "deflate/huffman_only.hpp"
+#include "deflate/parallel.hpp"
 #include "encode/payload.hpp"
 #include "fpc/fpc.hpp"
 #include "util/error.hpp"
@@ -87,8 +88,34 @@ TEST(Fuzz, MutatedCompressorStreamsNeverCrash) {
       ++detected;
     }
   }
-  // The zlib container (Adler-32) + payload CRC catch essentially all
-  // mutations; allow a tiny residue for flips in genuinely ignored bits.
+  // The WCKP container (a CRC-32 per block) + payload CRC catch
+  // essentially all mutations; allow a tiny residue for flips in genuinely ignored bits.
+  EXPECT_GT(detected, trials * 95 / 100);
+}
+
+TEST(Fuzz, MutatedShardedStreamsRejectedOnThePool) {
+  // A multi-block WCKP container decoded on four workers: an inflate or
+  // CRC-32 failure thrown inside a pool task must reach the caller as a
+  // typed Error. Only the reserved flags byte is not checked.
+  const auto field = make_smooth_field(Shape{64, 64}, 24);
+  const Bytes packed = sharded_deflate_compress(std::as_bytes(field.values()), {6, 4096, 1});
+  Xoshiro256 rng(25);
+  int detected = 0;
+  const int trials = 200;
+  for (int t = 0; t < trials; ++t) {
+    Bytes bad = packed;
+    const int flips = 1 + static_cast<int>(rng.bounded(3));
+    for (int f = 0; f < flips; ++f) {
+      bad[rng.bounded(bad.size())] ^= static_cast<std::byte>(1 + rng.bounded(255));
+    }
+    try {
+      (void)sharded_deflate_decompress(bad, 4);
+    } catch (const Error&) {
+      ++detected;
+    } catch (const std::exception& e) {
+      FAIL() << "non-library exception on trial " << t << ": " << e.what();
+    }
+  }
   EXPECT_GT(detected, trials * 95 / 100);
 }
 

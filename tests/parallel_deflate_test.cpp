@@ -2,8 +2,8 @@
 // round trips, bit-determinism across thread counts, frame-format
 // robustness (truncation, CRC corruption, implausible headers), and the
 // compressor integration (tag-4 streams whatever the worker count,
-// WCK_THREADS resolution, size parity with zlib, retired tags 1/2
-// rejected).
+// WCK_THREADS resolution, size parity with zlib, and the read policy:
+// tags 0, 3 and 4 restore, every other tag is rejected).
 #include "deflate/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -56,6 +56,24 @@ class ScopedEnv {
  private:
   std::string name_;
 };
+
+/// Expects both decompress and inspect to refuse `stream` as carrying
+/// the unknown entropy tag `tag`.
+void expect_unknown_tag(const Bytes& stream, int tag) {
+  const std::string expected = "unknown entropy tag " + std::to_string(tag);
+  for (const bool inspect : {false, true}) {
+    try {
+      if (inspect) {
+        (void)WaveletCompressor::inspect(stream);
+      } else {
+        (void)WaveletCompressor::decompress(stream);
+      }
+      ADD_FAILURE() << "tag " << tag << " accepted (inspect=" << inspect << ")";
+    } catch (const FormatError& e) {
+      EXPECT_EQ(std::string(e.what()), expected) << "inspect=" << inspect;
+    }
+  }
+}
 
 TEST(ShardedDeflate, RoundTripsAcrossSizes) {
   // Exercises: empty, sub-block, exact multiples, one-past boundaries.
@@ -143,6 +161,57 @@ TEST(ShardedDeflate, RejectsCorruptedBlockCrc) {
     EXPECT_THROW((void)sharded_deflate_decompress(corrupt, threads), CorruptDataError)
         << "threads=" << threads;
   }
+}
+
+TEST(ShardedDeflate, CorruptFirstBlockCrcNamedAtEveryWidth) {
+  // Strip 0 owns block 0 at every worker count; a bad stored CRC-32 there
+  // must surface as that block's CorruptDataError, inline and pooled.
+  const Bytes input = make_payload(6 * 1024);
+  const Bytes packed = sharded_deflate_compress(input, {6, 1024, 1});
+  ByteReader r(packed);
+  (void)r.u32();     // magic
+  (void)r.u8();      // version
+  (void)r.u8();      // flags
+  (void)r.varint();  // block size
+  (void)r.varint();  // total
+  (void)r.varint();  // block count
+  (void)r.varint();  // block 0 compressed size
+  (void)r.varint();  // block 0 uncompressed size
+  Bytes corrupt = packed;
+  corrupt[r.position()] ^= static_cast<std::byte>(0x01);
+  for (std::size_t threads = 1; threads <= 4; ++threads) {
+    try {
+      (void)sharded_deflate_decompress(corrupt, threads);
+      ADD_FAILURE() << "corrupt block 0 accepted at threads=" << threads;
+    } catch (const CorruptDataError& e) {
+      EXPECT_NE(std::string(e.what()).find("block 0"), std::string::npos)
+          << "threads=" << threads << ": " << e.what();
+    }
+  }
+}
+
+TEST(ShardedDeflate, StripsCoverOddBlockCountsAtAnyWidth) {
+  // Seven blocks: no worker count from 2 to 8 divides them evenly, and
+  // 8 exceeds the block count, so some strips get one block fewer and
+  // the width is clamped. Bytes and restores must not change.
+  const Bytes input = make_payload(7 * 1024 - 100);
+  const Bytes reference = sharded_deflate_compress(input, {6, 1024, 1});
+  for (std::size_t threads = 2; threads <= 8; ++threads) {
+    EXPECT_EQ(sharded_deflate_compress(input, {6, 1024, threads}), reference)
+        << "threads=" << threads;
+    EXPECT_EQ(sharded_deflate_decompress(reference, threads), input) << "threads=" << threads;
+  }
+}
+
+TEST(ShardedDeflate, PoolDecodesAgainAfterAFailedDecode) {
+  // A block error thrown inside a pool task must leave the process-wide
+  // pool able to serve the next restart.
+  const Bytes input = make_payload(16 * 1024);
+  const Bytes packed = sharded_deflate_compress(input, {6, 1024, 4});
+  Bytes corrupt = packed;
+  corrupt[corrupt.size() - 1] ^= static_cast<std::byte>(0x01);
+  EXPECT_THROW((void)sharded_deflate_decompress(corrupt, 4), Error);
+  EXPECT_EQ(sharded_deflate_decompress(packed, 4), input);
 }
 
 TEST(ShardedDeflate, RejectsImplausibleBlockCount) {
@@ -337,19 +406,44 @@ TEST(CompressorSharded, RetiredZlibAndGzipTagsAreRejected) {
     Bytes stream(body.size() + 1);
     stream[0] = static_cast<std::byte>(tag);
     std::copy(body.begin(), body.end(), stream.begin() + 1);
-    const std::string expected = "unknown entropy tag " + std::to_string(tag);
-    for (const bool inspect : {false, true}) {
-      try {
-        if (inspect) {
-          (void)WaveletCompressor::inspect(stream);
-        } else {
-          (void)WaveletCompressor::decompress(stream);
-        }
-        ADD_FAILURE() << "tag " << int{tag} << " accepted (inspect=" << inspect << ")";
-      } catch (const FormatError& e) {
-        EXPECT_EQ(std::string(e.what()), expected) << "inspect=" << inspect;
-      }
-    }
+    expect_unknown_tag(stream, tag);
+  }
+}
+
+TEST(CompressorSharded, TagsOutsideTheWrittenSetAreRejected) {
+  // The "only if" half of the read policy beyond tags 1 and 2: a valid
+  // formatted payload behind any tag the encoder never writes is refused.
+  const NdArray<double> field = make_temperature_field(Shape{40, 24}, 2);
+  CompressionParams none;
+  none.entropy = EntropyMode::kNone;
+  Bytes stream = WaveletCompressor(none).compress(field).data;
+  for (const int tag : {5, 6, 127, 255}) {
+    stream[0] = static_cast<std::byte>(tag);
+    expect_unknown_tag(stream, tag);
+  }
+}
+
+TEST(CompressorSharded, EveryWrittenTagIsReadable) {
+  // The "if" half of the read policy: each tag the encoder writes (0 no
+  // entropy stage, 3 Huffman-only, 4 WCKP) restores and inspects, and
+  // all three restore the same values, since the stage is lossless.
+  const NdArray<double> field = make_temperature_field(Shape{40, 24}, 4);
+  const std::pair<EntropyMode, int> written[] = {
+      {EntropyMode::kNone, 0}, {EntropyMode::kHuffmanOnly, 3}, {EntropyMode::kDeflate, 4}};
+  std::vector<NdArray<double>> restored;
+  for (const auto& [mode, tag] : written) {
+    CompressionParams p;
+    p.entropy = mode;
+    const Bytes stream = WaveletCompressor(p).compress(field).data;
+    ASSERT_EQ(static_cast<int>(stream[0]), tag);
+    EXPECT_EQ(WaveletCompressor::inspect(stream).entropy_tag, tag);
+    restored.push_back(WaveletCompressor::decompress(stream));
+  }
+  for (std::size_t i = 1; i < restored.size(); ++i) {
+    ASSERT_EQ(restored[i].shape(), restored[0].shape()) << "tag " << written[i].second;
+    EXPECT_TRUE(std::equal(restored[i].values().begin(), restored[i].values().end(),
+                           restored[0].values().begin()))
+        << "tag " << written[i].second;
   }
 }
 
