@@ -9,8 +9,8 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "ckpt/incremental.hpp"
 #include "core/synthetic.hpp"
+#include "incremental/incremental.hpp"
 #include "util/rng.hpp"
 
 using namespace wck;

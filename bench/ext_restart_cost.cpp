@@ -11,8 +11,8 @@
 #include "bench_common.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/codec.hpp"
-#include "ckpt/incremental.hpp"
 #include "core/synthetic.hpp"
+#include "incremental/incremental.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 

@@ -13,8 +13,8 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/temporal.hpp"
 #include "stats/error_metrics.hpp"
+#include "temporal/temporal.hpp"
 
 using namespace wck;
 using namespace wck::bench;

@@ -89,32 +89,21 @@ void Comm::barrier() {
   }
 }
 
-template <typename Op>
-double Comm::allreduce(double value, Op op, double init) {
+double Comm::allreduce_max(double value) {
   World::Collectives& c = world_.coll_;
   {
     MutexLock lk(c.mu);
     c.reduce_slots[rank_] = value;
   }
   barrier();
-  double result = init;
+  double result = -std::numeric_limits<double>::infinity();
   {
     MutexLock lk(c.mu);
     // Fold in rank order: deterministic regardless of scheduling.
-    for (const double v : c.reduce_slots) result = op(result, v);
+    for (const double v : c.reduce_slots) result = std::max(result, v);
   }
   barrier();  // keep slots alive until everyone has read them
   return result;
-}
-
-double Comm::allreduce_sum(double value) {
-  return allreduce(value, [](double a, double b) { return a + b; }, 0.0);
-}
-
-double Comm::allreduce_max(double value) {
-  return allreduce(
-      value, [](double a, double b) { return std::max(a, b); },
-      -std::numeric_limits<double>::infinity());
 }
 
 std::vector<Bytes> Comm::gather(std::span<const std::byte> data, std::size_t root) {
@@ -133,23 +122,6 @@ std::vector<Bytes> Comm::gather(std::span<const std::byte> data, std::size_t roo
     for (const Bytes* slot : c.gather_slots) out.push_back(*slot);
   }
   barrier();  // `mine` stays alive until the root has copied everything
-  return out;
-}
-
-Bytes Comm::broadcast(std::span<const std::byte> data, std::size_t root) {
-  if (root >= size()) throw InvalidArgumentError("broadcast: root out of range");
-  World::Collectives& c = world_.coll_;
-  if (rank_ == root) {
-    MutexLock lk(c.mu);
-    c.bcast_value.assign(data.begin(), data.end());
-  }
-  barrier();
-  Bytes out;
-  {
-    MutexLock lk(c.mu);
-    out = c.bcast_value;
-  }
-  barrier();
   return out;
 }
 

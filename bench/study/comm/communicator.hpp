@@ -5,10 +5,10 @@
 // done in an embarrassingly parallel fashion", Sec. IV-D). We have no
 // cluster, so this substrate provides the same programming model inside
 // one process: a World spawns R ranks as threads; each receives a Comm
-// handle with point-to-point send/recv (tag matching), barrier,
-// broadcast, gather and allreduce — enough to write the distributed
-// MiniClimate (src/climate/distributed.hpp) and coordinated per-rank
-// checkpointing exactly as an MPI code would.
+// handle with point-to-point send/recv (tag matching), barrier, gather
+// and a max-allreduce — enough to write the distributed MiniClimate
+// (climate/distributed.hpp) and coordinated per-rank checkpointing
+// exactly as an MPI code would.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +64,6 @@ class World {
     std::size_t barrier_waiting WCK_GUARDED_BY(mu) = 0;
     std::vector<double> reduce_slots WCK_GUARDED_BY(mu);
     std::vector<const Bytes*> gather_slots WCK_GUARDED_BY(mu);
-    Bytes bcast_value WCK_GUARDED_BY(mu);
-    std::uint64_t bcast_generation WCK_GUARDED_BY(mu) = 0;
   };
 
   std::size_t ranks_;
@@ -105,23 +103,16 @@ class Comm {
 
   void barrier();
 
-  /// Sum / max of one double across all ranks; every rank gets the result.
-  [[nodiscard]] double allreduce_sum(double value);
+  /// Max of one double across all ranks; every rank gets the result.
   [[nodiscard]] double allreduce_max(double value);
 
   /// Gathers every rank's buffer at `root`; non-roots get an empty
   /// vector. Buffers may differ in size.
   [[nodiscard]] std::vector<Bytes> gather(std::span<const std::byte> data, std::size_t root);
 
-  /// Broadcasts root's buffer to every rank.
-  [[nodiscard]] Bytes broadcast(std::span<const std::byte> data, std::size_t root);
-
  private:
   friend class World;
   Comm(World& world, std::size_t rank) : world_(world), rank_(rank) {}
-
-  template <typename Op>
-  double allreduce(double value, Op op, double init);
 
   World& world_;
   std::size_t rank_;

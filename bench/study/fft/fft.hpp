@@ -1,6 +1,6 @@
 // Radix-2 FFT and a spectral Poisson solver on periodic grids.
 //
-// Substrate for the MiniClimate model (src/climate): the barotropic
+// Substrate for the MiniClimate model (climate/): the barotropic
 // vorticity dynamics need streamfunction = inverse-Laplacian(vorticity)
 // every step, solved exactly in Fourier space with the eigenvalues of
 // the second-order finite-difference Laplacian (so the solve is

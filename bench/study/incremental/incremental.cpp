@@ -1,4 +1,4 @@
-#include "ckpt/incremental.hpp"
+#include "incremental/incremental.hpp"
 
 #include <cstring>
 

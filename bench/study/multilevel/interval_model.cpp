@@ -74,70 +74,6 @@ OptimalInterval optimize_interval(double checkpoint_seconds, double restart_seco
   return OptimalInterval{tau, eff(tau)};
 }
 
-double two_level_efficiency(const TwoLevelParams& p, double local_interval_s,
-                            int shared_every) {
-  check_positive(local_interval_s, "interval");
-  check_positive(p.local_checkpoint_seconds, "local checkpoint time");
-  check_positive(p.shared_checkpoint_seconds, "shared checkpoint time");
-  check_positive(p.mtbf_seconds, "MTBF");
-  if (shared_every < 1) throw InvalidArgumentError("shared_every must be >= 1");
-  if (p.local_failure_fraction < 0.0 || p.local_failure_fraction > 1.0) {
-    throw InvalidArgumentError("local failure fraction must be in [0, 1]");
-  }
-
-  const double tau = local_interval_s;
-  const double shared_period = tau * shared_every;
-  // Checkpoint overhead per unit of useful time.
-  const double ckpt_overhead =
-      p.local_checkpoint_seconds / tau + p.shared_checkpoint_seconds / shared_period;
-  // Failure rework: local failures roll back half a local interval;
-  // severe ones roll back half a shared period. Both pay their restart.
-  const double f1 = p.local_failure_fraction;
-  const double rework_per_failure = f1 * (tau / 2.0 + p.local_restart_seconds) +
-                                    (1.0 - f1) * (shared_period / 2.0 +
-                                                  p.shared_restart_seconds);
-  const double failure_overhead = rework_per_failure / p.mtbf_seconds;
-  return std::clamp(1.0 - ckpt_overhead - failure_overhead, 0.0, 1.0);
-}
-
-TwoLevelSchedule optimize_two_level(const TwoLevelParams& p) {
-  TwoLevelSchedule best;
-  for (int shared_every : {1, 2, 4, 8, 16, 32, 64, 128}) {
-    // Golden-section over the local interval for this shared cadence.
-    const double phi = (std::sqrt(5.0) - 1.0) / 2.0;
-    double lo = p.local_checkpoint_seconds * 1e-2;
-    double hi = p.mtbf_seconds * 4.0;
-    auto eff = [&](double tau) { return two_level_efficiency(p, tau, shared_every); };
-    double a = hi - phi * (hi - lo);
-    double b = lo + phi * (hi - lo);
-    double fa = eff(a);
-    double fb = eff(b);
-    for (int iter = 0; iter < 200 && (hi - lo) > 1e-9 * hi; ++iter) {
-      if (fa < fb) {
-        lo = a;
-        a = b;
-        fa = fb;
-        b = lo + phi * (hi - lo);
-        fb = eff(b);
-      } else {
-        hi = b;
-        b = a;
-        fb = fa;
-        a = hi - phi * (hi - lo);
-        fa = eff(a);
-      }
-    }
-    const double tau = (lo + hi) / 2.0;
-    const double e = eff(tau);
-    if (e > best.efficiency) {
-      best.local_interval_s = tau;
-      best.shared_every = shared_every;
-      best.efficiency = e;
-    }
-  }
-  return best;
-}
-
 std::vector<StrategySweepRow> sweep_strategies(const std::vector<Strategy>& strategies,
                                                const std::vector<double>& mtbfs) {
   std::vector<StrategySweepRow> rows;

@@ -56,38 +56,4 @@ struct StrategySweepRow {
 [[nodiscard]] std::vector<StrategySweepRow> sweep_strategies(
     const std::vector<Strategy>& strategies, const std::vector<double>& mtbfs);
 
-// ---------------------------------------------------------------------
-// Two-level model (Vaidya-style, for the multilevel subsystem)
-// ---------------------------------------------------------------------
-
-/// Parameters of a two-level hierarchy: cheap local checkpoints handle
-/// a fraction of failures; expensive shared checkpoints handle the rest.
-struct TwoLevelParams {
-  double local_checkpoint_seconds;   ///< c1 (e.g. node-local SSD, lossy)
-  double shared_checkpoint_seconds;  ///< c2 (parallel FS)
-  double local_restart_seconds;
-  double shared_restart_seconds;
-  double mtbf_seconds;          ///< over all failures
-  double local_failure_fraction;  ///< fraction recoverable from level 1
-};
-
-/// A two-level schedule: a local checkpoint every `local_interval_s`,
-/// and every `shared_every`-th checkpoint also goes to shared storage.
-struct TwoLevelSchedule {
-  double local_interval_s = 0.0;
-  int shared_every = 1;
-  double efficiency = 0.0;
-};
-
-/// First-order expected efficiency of a two-level schedule: checkpoint
-/// overhead (c1 per interval + c2 per shared_every intervals) plus
-/// per-failure rework (half an interval for local failures, half a
-/// shared period for severe ones) and restart costs.
-[[nodiscard]] double two_level_efficiency(const TwoLevelParams& params,
-                                          double local_interval_s, int shared_every);
-
-/// Grid + golden search over (interval, shared_every) for the best
-/// schedule.
-[[nodiscard]] TwoLevelSchedule optimize_two_level(const TwoLevelParams& params);
-
 }  // namespace wck

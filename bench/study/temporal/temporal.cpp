@@ -1,4 +1,4 @@
-#include "core/temporal.hpp"
+#include "temporal/temporal.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -1,7 +1,7 @@
 // ZFP-inspired block-transform lossy compression.
 //
 // The second major family of scientific lossy compressors (alongside
-// SZ's prediction approach, src/szlike) descends from fpzip/zfp by the
+// SZ's prediction approach, szlike/) descends from fpzip/zfp by the
 // authors the paper cites as [32]. This from-scratch implementation
 // follows zfp's fixed-precision architecture:
 //

@@ -76,9 +76,9 @@ class GzipCodec final : public Codec {
 
 /// The paper's wavelet + quantization + encoding + gzip pipeline.
 /// CompressionParams::threads (or WCK_THREADS) sets how many workers
-/// the block deflate stage uses, so CheckpointManager and
-/// DistributedClimate checkpoints scale with cores through this codec
-/// without further plumbing; the bytes do not depend on it.
+/// the block deflate stage uses, so CheckpointManager checkpoints and
+/// store-service puts scale with cores through this codec without
+/// further plumbing; the bytes do not depend on it.
 class WaveletLossyCodec final : public Codec {
  public:
   explicit WaveletLossyCodec(CompressionParams params = {})

@@ -21,8 +21,8 @@
 //
 // The lint rule `naked-mutex` (tools/wck_lint) enforces that no
 // std::mutex / std::lock_guard / std::condition_variable appears in
-// src/ outside this header, so the analysis can never be bypassed by
-// accident.
+// src/ or bench/study/ outside this header, so the analysis can never
+// be bypassed by accident.
 #pragma once
 
 #include <chrono>

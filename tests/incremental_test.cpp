@@ -1,8 +1,8 @@
 // Tests for incremental checkpointing (dirty-block deltas).
 #include <gtest/gtest.h>
 
-#include "ckpt/incremental.hpp"
 #include "core/synthetic.hpp"
+#include "incremental/incremental.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 

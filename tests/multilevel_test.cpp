@@ -93,73 +93,6 @@ TEST(IntervalModel, SweepShapes) {
   }
 }
 
-TEST(TwoLevelModel, ReducesToSingleLevelWhenSharedEveryIsOne) {
-  // With shared_every = 1 every checkpoint hits both levels; the model
-  // must behave like a single level of combined cost.
-  TwoLevelParams p{};
-  p.local_checkpoint_seconds = 5.0;
-  p.shared_checkpoint_seconds = 20.0;
-  p.local_restart_seconds = 5.0;
-  p.shared_restart_seconds = 20.0;
-  p.mtbf_seconds = 7200.0;
-  p.local_failure_fraction = 0.8;
-  const double tau = 300.0;
-  const double two = two_level_efficiency(p, tau, 1);
-  // Equivalent single level: C = c1 + c2, rework mixes restarts only.
-  const double ckpt = (5.0 + 20.0) / tau;
-  const double rework = (0.8 * (tau / 2 + 5.0) + 0.2 * (tau / 2 + 20.0)) / 7200.0;
-  EXPECT_NEAR(two, 1.0 - ckpt - rework, 1e-12);
-}
-
-TEST(TwoLevelModel, HierarchyBeatsSharedOnlyWhenLocalFailuresDominate) {
-  // The multi-level premise (paper Sec. V): cheap local checkpoints for
-  // frequent mild failures beat writing everything to shared storage.
-  TwoLevelParams p{};
-  p.local_checkpoint_seconds = 2.0;
-  p.shared_checkpoint_seconds = 60.0;
-  p.local_restart_seconds = 2.0;
-  p.shared_restart_seconds = 60.0;
-  p.mtbf_seconds = 1800.0;
-  p.local_failure_fraction = 0.9;  // 90% of failures are process-level
-  const auto best = optimize_two_level(p);
-  EXPECT_GT(best.shared_every, 1);  // shared checkpoints are rarer
-
-  // Shared-only alternative: every checkpoint costs c2.
-  TwoLevelParams shared_only = p;
-  shared_only.local_checkpoint_seconds = 60.0;  // always pay shared cost
-  shared_only.local_failure_fraction = 1.0;
-  const auto so = optimize_two_level(shared_only);
-  EXPECT_GT(best.efficiency, so.efficiency);
-}
-
-TEST(TwoLevelModel, OptimizerBeatsNaiveGrid) {
-  TwoLevelParams p{};
-  p.local_checkpoint_seconds = 3.0;
-  p.shared_checkpoint_seconds = 30.0;
-  p.local_restart_seconds = 3.0;
-  p.shared_restart_seconds = 30.0;
-  p.mtbf_seconds = 3600.0;
-  p.local_failure_fraction = 0.75;
-  const auto best = optimize_two_level(p);
-  for (const double tau : {30.0, 100.0, 300.0, 1000.0}) {
-    for (const int every : {1, 2, 8, 32}) {
-      EXPECT_GE(best.efficiency + 1e-9, two_level_efficiency(p, tau, every));
-    }
-  }
-}
-
-TEST(TwoLevelModel, InvalidArgsRejected) {
-  TwoLevelParams p{};
-  p.local_checkpoint_seconds = 1.0;
-  p.shared_checkpoint_seconds = 1.0;
-  p.mtbf_seconds = 100.0;
-  p.local_failure_fraction = 0.5;
-  EXPECT_THROW((void)two_level_efficiency(p, 0.0, 1), InvalidArgumentError);
-  EXPECT_THROW((void)two_level_efficiency(p, 10.0, 0), InvalidArgumentError);
-  p.local_failure_fraction = 1.5;
-  EXPECT_THROW((void)two_level_efficiency(p, 10.0, 2), InvalidArgumentError);
-}
-
 TEST(IntervalModel, InvalidInputsRejected) {
   EXPECT_THROW((void)young_interval(0.0, 100.0), InvalidArgumentError);
   EXPECT_THROW((void)young_interval(1.0, 0.0), InvalidArgumentError);

@@ -2,8 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "climate/mini_climate.hpp"
-#include "core/temporal.hpp"
 #include "stats/error_metrics.hpp"
+#include "temporal/temporal.hpp"
 #include "util/error.hpp"
 
 namespace wck {

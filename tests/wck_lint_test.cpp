@@ -66,6 +66,16 @@ TEST(WckLintRawFileIo, FlagsRawPrimitivesOutsideIoLayer) {
   EXPECT_TRUE(of_rule(scan_file("tools/fx.cpp", text), "raw-file-io").empty());
 }
 
+TEST(WckLintRawFileIo, FlagsFopenInStudyLibrary) {
+  // The study library under bench/study/ is held to the same IoBackend
+  // contract as src/; the bench drivers around it are not.
+  const std::string text = read_fixture("r2_raw_file_io_study.cpp");
+  const auto findings = of_rule(scan_file("bench/study/climate/fx.cpp", text), "raw-file-io");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings.front().line, 4);
+  EXPECT_TRUE(of_rule(scan_file("bench/fx.cpp", text), "raw-file-io").empty());
+}
+
 TEST(WckLintRawFileIo, IgnoresCommentsStringsAndSubtokens) {
   const auto findings =
       scan_file("src/telemetry/fx.cpp", read_fixture("r2_raw_file_io_clean.cpp"));
@@ -80,6 +90,14 @@ TEST(WckLintNakedMutex, FlagsStdPrimitivesInSrc) {
   EXPECT_TRUE(
       of_rule(scan_file("src/util/thread_annotations.hpp", text), "naked-mutex")
           .empty());
+}
+
+TEST(WckLintNakedMutex, FlagsStdMutexInStudyLibrary) {
+  const std::string text = read_fixture("r3_naked_mutex_study.cpp");
+  const auto findings = of_rule(scan_file("bench/study/comm/fx.cpp", text), "naked-mutex");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings.front().line, 4);
+  EXPECT_TRUE(of_rule(scan_file("bench/fx.cpp", text), "naked-mutex").empty());
 }
 
 TEST(WckLintNakedMutex, AcceptsAnnotatedWrappers) {

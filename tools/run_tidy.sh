@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# clang-tidy gate over src/ (config: .clang-tidy at the repo root).
+# clang-tidy gate over src/ and the study library bench/study/ (config:
+# .clang-tidy at the repo root).
 #
 # Usage:
 #   tools/run_tidy.sh [build-dir]
@@ -8,8 +9,9 @@
 # compile_commands.json (the root CMakeLists exports it unconditionally).
 #
 # Behavior:
-#   * Runs clang-tidy over every src/**/*.cpp translation unit; headers
-#     under src/ are covered via HeaderFilterRegex.
+#   * Runs clang-tidy over every src/**/*.cpp and bench/study/**/*.cpp
+#     translation unit; headers under both are covered via
+#     HeaderFilterRegex.
 #   * Findings are normalized (paths made repo-relative, columns dropped)
 #     and compared against tools/tidy_baseline.txt. Any finding NOT in
 #     the baseline fails the gate; baseline entries that no longer fire
@@ -50,9 +52,9 @@ if [ ! -f "${build_dir}/compile_commands.json" ]; then
   exit 2
 fi
 
-mapfile -t sources < <(find "${repo_root}/src" -name '*.cpp' | sort)
+mapfile -t sources < <(find "${repo_root}/src" "${repo_root}/bench/study" -name '*.cpp' | sort)
 if [ "${#sources[@]}" -eq 0 ]; then
-  echo "run_tidy.sh: no sources under src/ — nothing to do" >&2
+  echo "run_tidy.sh: no sources under src/ or bench/study/ — nothing to do" >&2
   exit 2
 fi
 

@@ -220,6 +220,13 @@ void for_each_token(const std::string& s, std::string_view token,
   return s.substr(0, prefix.size()) == prefix;
 }
 
+/// The system (src/) and the study library (bench/study/): code that
+/// R2 and R3 hold to the IoBackend and annotated-mutex contracts. The
+/// bench drivers, tools and tests around them are exempt.
+[[nodiscard]] bool is_library_code(std::string_view rel) {
+  return starts_with(rel, "src/") || starts_with(rel, "bench/study/");
+}
+
 // ---------------------------------------------------------------- rules
 
 /// R1 ignored-result: a call to one of these names in statement position
@@ -249,10 +256,10 @@ void rule_ignored_result(const std::string& rel, const Scanned& sc,
   }
 }
 
-/// R2 raw-file-io: file I/O primitives outside src/io/.
+/// R2 raw-file-io: file I/O primitives in library code outside src/io/.
 void rule_raw_file_io(const std::string& rel, const Scanned& sc,
                       std::vector<Finding>& out) {
-  if (!starts_with(rel, "src/") || starts_with(rel, "src/io/")) return;
+  if (!is_library_code(rel) || starts_with(rel, "src/io/")) return;
   constexpr std::array<std::string_view, 5> kTokens = {
       "std::ofstream", "std::ifstream", "std::fstream", "fopen", "::open"};
   for (const std::string_view token : kTokens) {
@@ -269,11 +276,11 @@ void rule_raw_file_io(const std::string& rel, const Scanned& sc,
   }
 }
 
-/// R3 naked-mutex: std synchronization primitives in src/ outside the
-/// annotated wrappers.
+/// R3 naked-mutex: std synchronization primitives in library code
+/// outside the annotated wrappers.
 void rule_naked_mutex(const std::string& rel, const Scanned& sc,
                       std::vector<Finding>& out) {
-  if (!starts_with(rel, "src/") || rel == "src/util/thread_annotations.hpp") return;
+  if (!is_library_code(rel) || rel == "src/util/thread_annotations.hpp") return;
   constexpr std::array<std::string_view, 9> kTokens = {
       "std::mutex",          "std::recursive_mutex",
       "std::shared_mutex",   "std::timed_mutex",

@@ -11,11 +11,12 @@
 //                       sanctioned discard.
 //   R2 raw-file-io      All file I/O outside src/io/ must go through an
 //                       IoBackend — no std::ofstream/std::ifstream/
-//                       fopen/::open in the rest of src/, or fault
-//                       injection silently loses coverage.
+//                       fopen/::open in the rest of src/ or in
+//                       bench/study/, or fault injection silently loses
+//                       coverage.
 //   R3 naked-mutex      No std::mutex / std::lock_guard / std::unique_lock
-//                       / std::condition_variable in src/ outside
-//                       src/util/thread_annotations.hpp: shared state
+//                       / std::condition_variable in src/ or bench/study/
+//                       outside src/util/thread_annotations.hpp: shared state
 //                       uses the annotated wck::Mutex wrappers so Clang's
 //                       thread-safety analysis sees every lock.
 //   R4 metric-name      String-literal metric names passed to the

@@ -53,6 +53,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -131,7 +132,11 @@ constexpr const char kUsageText[] =
     "  shutdown   --socket=PATH\n"
     "common:      [--json] [--telemetry=FILE] [--trace=FILE] [--events=FILE]\n"
     "             [--expose=DIR[,MS]] [--slow-ms=1000]\n"
-    "             [--client-retries=N] [--client-timeout-ms=MS]\n";
+    "             [--client-retries=N] [--client-timeout-ms=MS]\n"
+    "integers:    counts, sizes, ms and seeds are plain decimal integers\n"
+    "             with no suffix (--quota=64000000, not 64M). Only the\n"
+    "             *-timeout-ms flags and --slow-ms accept a negative\n"
+    "             value, which disables that deadline or the log.\n";
 
 [[noreturn]] void usage(const char* error = nullptr) {
   if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
@@ -167,19 +172,35 @@ std::string get_or(const std::map<std::string, std::string>& flags, const std::s
   return it == flags.end() ? fallback : it->second;
 }
 
-/// Parses --key as an integer in [0, INT_MAX] (`fallback` when absent);
-/// anything else is a usage error, not a silent 0.
-int count_flag(const std::map<std::string, std::string>& flags, const std::string& key,
-               int fallback) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  const std::string& text = it->second;
+constexpr long long kIntMin = std::numeric_limits<int>::min();
+constexpr long long kIntMax = std::numeric_limits<int>::max();
+constexpr long long kNoMax = std::numeric_limits<long long>::max();
+
+/// Parses `text` as a decimal integer in [min, max]. Anything else (an
+/// empty value, a suffix as in "64M" or "12x", a value out of range) is
+/// a usage error naming `what`, never a silent 0, truncation or
+/// wrap-around.
+long long parse_integer(const std::string& text, const std::string& what, long long min,
+                        long long max) {
+  errno = 0;
   char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (text.empty() || *end != '\0' || v < 0 || v > std::numeric_limits<int>::max()) {
-    usage(("--" + key + " must be a non-negative integer, got \"" + text + "\"").c_str());
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE || v < min || v > max) {
+    usage((what + " must be an integer in [" + std::to_string(min) + ", " +
+           std::to_string(max) + "], got \"" + text + "\"")
+              .c_str());
   }
-  return static_cast<int>(v);
+  return v;
+}
+
+/// Every numeric --key goes through here: parse_integer over [min, max]
+/// (`fallback` when absent). The default range is [0, INT_MAX]; only the
+/// flags that document a negative value (the *-timeout-ms deadlines and
+/// --slow-ms, where negative disables) lower `min`.
+long long count_flag(const std::map<std::string, std::string>& flags, const std::string& key,
+                     long long fallback, long long min = 0, long long max = kIntMax) {
+  const auto it = flags.find(key);
+  return it == flags.end() ? fallback : parse_integer(it->second, "--" + key, min, max);
 }
 
 Shape parse_shape(const std::string& text) {
@@ -188,9 +209,7 @@ Shape parse_shape(const std::string& text) {
   while (pos < text.size()) {
     const auto x = text.find('x', pos);
     const std::string part = text.substr(pos, x == std::string::npos ? x : x - pos);
-    const long v = std::strtol(part.c_str(), nullptr, 10);
-    if (v <= 0) usage(("bad shape component: " + part).c_str());
-    extents.push_back(static_cast<std::size_t>(v));
+    extents.push_back(static_cast<std::size_t>(parse_integer(part, "shape component", 1, kNoMax)));
     if (x == std::string::npos) break;
     pos = x + 1;
   }
@@ -241,11 +260,9 @@ CompressionParams params_from_flags(const std::map<std::string, std::string>& fl
   } else {
     usage(("unknown quantizer: " + q).c_str());
   }
-  p.quantizer.divisions = static_cast<int>(std::strtol(get_or(flags, "n", "128").c_str(), nullptr, 10));
-  p.quantizer.spike_partitions =
-      static_cast<int>(std::strtol(get_or(flags, "d", "64").c_str(), nullptr, 10));
-  p.wavelet_levels =
-      static_cast<int>(std::strtol(get_or(flags, "levels", "1").c_str(), nullptr, 10));
+  p.quantizer.divisions = static_cast<int>(count_flag(flags, "n", 128));
+  p.quantizer.spike_partitions = static_cast<int>(count_flag(flags, "d", 64));
+  p.wavelet_levels = static_cast<int>(count_flag(flags, "levels", 1));
   const std::string e = get_or(flags, "entropy", "deflate");
   if (e == "deflate") {
     p.entropy = EntropyMode::kDeflate;
@@ -257,8 +274,8 @@ CompressionParams params_from_flags(const std::map<std::string, std::string>& fl
   // --threads=N sets the deflate worker count (the default 0 defers to
   // WCK_THREADS). --block-size sets the bytes of payload per
   // independently compressed block (0 keeps the default).
-  p.threads = count_flag(flags, "threads", 0);
-  const int block_size = count_flag(flags, "block-size", 0);
+  p.threads = static_cast<int>(count_flag(flags, "threads", 0));
+  const auto block_size = count_flag(flags, "block-size", 0);
   if (block_size > 0) p.deflate_block_size = static_cast<std::size_t>(block_size);
   return p;
 }
@@ -287,7 +304,7 @@ std::unique_ptr<Codec> make_codec(const std::string& name,
   if (name == "wavelet") {
     CompressionParams p;
     p.quantizer.divisions = 128;
-    p.threads = count_flag(flags, "threads", 0);
+    p.threads = static_cast<int>(count_flag(flags, "threads", 0));
     return std::make_unique<WaveletLossyCodec>(p);
   }
   if (name == "fpc") return std::make_unique<FpcCodec>();
@@ -349,7 +366,7 @@ void write_observability_files(const std::map<std::string, std::string>& flags) 
 int cmd_gen(const std::map<std::string, std::string>& flags) {
   const Shape shape = parse_shape(require(flags, "shape"));
   const auto seed =
-      static_cast<std::uint64_t>(std::strtoll(get_or(flags, "seed", "2015").c_str(), nullptr, 10));
+      static_cast<std::uint64_t>(count_flag(flags, "seed", 2015, 0, kNoMax));
   const std::string kind = get_or(flags, "kind", "temperature");
   NdArray<double> field;
   if (kind == "temperature") {
@@ -505,8 +522,7 @@ int cmd_analyze(const std::map<std::string, std::string>& flags) {
   // degenerate table does not skew the quantized fractions.
   p.quantizer.divisions =
       static_cast<int>(std::min<std::size_t>(std::max<std::size_t>(info.averages_count, 1), 256));
-  p.quantizer.spike_partitions =
-      static_cast<int>(std::strtol(get_or(flags, "d", "64").c_str(), nullptr, 10));
+  p.quantizer.spike_partitions = static_cast<int>(count_flag(flags, "d", 64));
 
   quality::QualityReport qr;
   qr.variables.push_back(quality::analyze_pair(original, restored, p,
@@ -563,17 +579,15 @@ int cmd_soak_server(const std::map<std::string, std::string>& flags);
 int cmd_soak(const std::map<std::string, std::string>& flags) {
   if (flags.count("server") != 0) return cmd_soak_server(flags);
   const std::filesystem::path dir = require(flags, "dir");
-  const auto cycles =
-      static_cast<std::uint64_t>(std::strtoll(get_or(flags, "cycles", "1000").c_str(), nullptr, 10));
+  const auto cycles = static_cast<std::uint64_t>(count_flag(flags, "cycles", 1000, 0, kNoMax));
   const Shape shape = parse_shape(get_or(flags, "shape", "32x32"));
-  const auto keep = static_cast<std::size_t>(
-      std::strtoll(get_or(flags, "keep", "3").c_str(), nullptr, 10));
+  const auto keep = static_cast<std::size_t>(count_flag(flags, "keep", 3, 0, kNoMax));
   const auto seed =
-      static_cast<std::uint64_t>(std::strtoll(get_or(flags, "seed", "2015").c_str(), nullptr, 10));
-  const auto verify_every = static_cast<std::uint64_t>(
-      std::strtoll(get_or(flags, "verify-every", "1").c_str(), nullptr, 10));
-  const auto scrub_every = static_cast<std::uint64_t>(
-      std::strtoll(get_or(flags, "scrub-every", "0").c_str(), nullptr, 10));
+      static_cast<std::uint64_t>(count_flag(flags, "seed", 2015, 0, kNoMax));
+  const auto verify_every =
+      static_cast<std::uint64_t>(count_flag(flags, "verify-every", 1, 0, kNoMax));
+  const auto scrub_every =
+      static_cast<std::uint64_t>(count_flag(flags, "scrub-every", 0, 0, kNoMax));
 
   const std::string codec_name = get_or(flags, "codec", "null");
   const std::unique_ptr<Codec> codec = make_codec(codec_name, flags);
@@ -751,12 +765,10 @@ server::CheckpointService::Options service_options_from_flags(
     const std::map<std::string, std::string>& flags, const std::filesystem::path& root) {
   server::CheckpointService::Options opts;
   opts.root = root;
-  opts.keep_generations = static_cast<std::size_t>(
-      std::strtoll(get_or(flags, "keep", "3").c_str(), nullptr, 10));
-  opts.tenant_quota_bytes = static_cast<std::uint64_t>(
-      std::strtoll(get_or(flags, "quota", "0").c_str(), nullptr, 10));
-  opts.max_inflight = static_cast<std::size_t>(
-      std::strtoll(get_or(flags, "max-inflight", "8").c_str(), nullptr, 10));
+  opts.keep_generations = static_cast<std::size_t>(count_flag(flags, "keep", 3, 0, kNoMax));
+  opts.tenant_quota_bytes =
+      static_cast<std::uint64_t>(count_flag(flags, "quota", 0, 0, kNoMax));
+  opts.max_inflight = static_cast<std::size_t>(count_flag(flags, "max-inflight", 8, 0, kNoMax));
   const std::string admission = get_or(flags, "admission", "block");
   if (admission == "block") {
     opts.admission = server::AdmissionPolicy::kBlock;
@@ -773,16 +785,12 @@ server::CheckpointService::Options service_options_from_flags(
 server::StoreServer::Options server_options_from_flags(
     const std::map<std::string, std::string>& flags) {
   server::StoreServer::Options opts;
-  opts.read_timeout_ms = static_cast<int>(
-      std::strtol(get_or(flags, "read-timeout-ms", "30000").c_str(), nullptr, 10));
-  opts.idle_timeout_ms = static_cast<int>(
-      std::strtol(get_or(flags, "idle-timeout-ms", "120000").c_str(), nullptr, 10));
-  opts.write_timeout_ms = static_cast<int>(
-      std::strtol(get_or(flags, "write-timeout-ms", "30000").c_str(), nullptr, 10));
-  opts.drain_timeout_ms = static_cast<int>(
-      std::strtol(get_or(flags, "drain-timeout-ms", "5000").c_str(), nullptr, 10));
-  opts.slow_request_ms = static_cast<int>(
-      std::strtol(get_or(flags, "slow-ms", "1000").c_str(), nullptr, 10));
+  opts.read_timeout_ms = static_cast<int>(count_flag(flags, "read-timeout-ms", 30000, kIntMin));
+  opts.idle_timeout_ms = static_cast<int>(count_flag(flags, "idle-timeout-ms", 120000, kIntMin));
+  opts.write_timeout_ms =
+      static_cast<int>(count_flag(flags, "write-timeout-ms", 30000, kIntMin));
+  opts.drain_timeout_ms = static_cast<int>(count_flag(flags, "drain-timeout-ms", 5000, kIntMin));
+  opts.slow_request_ms = static_cast<int>(count_flag(flags, "slow-ms", 1000, kIntMin));
   return opts;
 }
 
@@ -791,17 +799,14 @@ server::StoreServer::Options server_options_from_flags(
 StoreClientOptions client_options_from_flags(const std::map<std::string, std::string>& flags,
                                              std::uint64_t seed) {
   StoreClientOptions opts;
-  opts.timeout_ms = static_cast<int>(
-      std::strtol(get_or(flags, "client-timeout-ms", "30000").c_str(), nullptr, 10));
-  const int retries = static_cast<int>(
-      std::strtol(get_or(flags, "client-retries", "0").c_str(), nullptr, 10));
-  opts.retry.max_attempts = 1 + std::max(retries, 0);
+  opts.timeout_ms = static_cast<int>(count_flag(flags, "client-timeout-ms", 30000, kIntMin));
+  opts.retry.max_attempts =
+      1 + static_cast<int>(count_flag(flags, "client-retries", 0, 0, kIntMax - 1));
   opts.retry.initial_backoff_seconds = 0.01;
   opts.retry.max_backoff_seconds = 0.5;
   opts.retry.jitter_fraction = 0.2;  // decorrelate clients that lost the same server
   opts.seed = seed;
-  opts.slow_request_ms = static_cast<int>(
-      std::strtol(get_or(flags, "slow-ms", "1000").c_str(), nullptr, 10));
+  opts.slow_request_ms = static_cast<int>(count_flag(flags, "slow-ms", 1000, kIntMin));
   return opts;
 }
 
@@ -880,10 +885,9 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
 
 int cmd_put(const std::map<std::string, std::string>& flags) {
   const Shape shape = parse_shape(require(flags, "shape"));
-  const auto step = static_cast<std::uint64_t>(
-      std::strtoll(get_or(flags, "step", "1").c_str(), nullptr, 10));
+  const auto step = static_cast<std::uint64_t>(count_flag(flags, "step", 1, 0, kNoMax));
   const auto seed =
-      static_cast<std::uint64_t>(std::strtoll(get_or(flags, "seed", "2015").c_str(), nullptr, 10));
+      static_cast<std::uint64_t>(count_flag(flags, "seed", 2015, 0, kNoMax));
   const NdArray<double> array = flags.count("in") != 0
                                     ? read_raw_array(require(flags, "in"), shape)
                                     : make_smooth_field(shape, seed);
@@ -1002,10 +1006,8 @@ std::string prometheus_metric_name(std::string name) {
 /// between polls) and the server-side p95 put latency.
 int cmd_top(const std::map<std::string, std::string>& flags) {
   const std::string socket_path = require(flags, "socket");
-  const long interval_ms =
-      std::strtol(get_or(flags, "interval-ms", "1000").c_str(), nullptr, 10);
-  if (interval_ms <= 0) usage("--interval-ms must be >= 1");
-  const long iterations = std::strtol(get_or(flags, "iterations", "0").c_str(), nullptr, 10);
+  const long interval_ms = static_cast<long>(count_flag(flags, "interval-ms", 1000, 1));
+  const long iterations = static_cast<long>(count_flag(flags, "iterations", 0));
   const bool plain = flags.count("plain") != 0;
   const std::string expose_dir = get_or(flags, "expose-dir", "");
 
@@ -1205,20 +1207,18 @@ struct KillGate {
 /// run.
 int cmd_soak_server(const std::map<std::string, std::string>& flags) {
   const std::filesystem::path dir = require(flags, "dir");
-  const auto cycles = static_cast<std::uint64_t>(
-      std::strtoll(get_or(flags, "cycles", "50").c_str(), nullptr, 10));
-  const auto clients = static_cast<std::size_t>(
-      std::strtoll(get_or(flags, "clients", "8").c_str(), nullptr, 10));
-  const auto tenants = static_cast<std::size_t>(std::strtoll(
-      get_or(flags, "tenants", std::to_string(clients)).c_str(), nullptr, 10));
+  const auto cycles = static_cast<std::uint64_t>(count_flag(flags, "cycles", 50, 0, kNoMax));
+  const auto clients = static_cast<std::size_t>(count_flag(flags, "clients", 8));
+  const auto tenants = static_cast<std::size_t>(
+      count_flag(flags, "tenants", static_cast<long long>(clients)));
   const Shape shape = parse_shape(get_or(flags, "shape", "16x16"));
   const auto seed =
-      static_cast<std::uint64_t>(std::strtoll(get_or(flags, "seed", "2015").c_str(), nullptr, 10));
+      static_cast<std::uint64_t>(count_flag(flags, "seed", 2015, 0, kNoMax));
   if (cycles == 0 || clients == 0 || tenants == 0) {
     usage("soak --server needs --cycles, --clients, --tenants all >= 1");
   }
-  const auto kill_every = static_cast<std::uint64_t>(
-      std::strtoll(get_or(flags, "kill-every", "0").c_str(), nullptr, 10));
+  const auto kill_every =
+      static_cast<std::uint64_t>(count_flag(flags, "kill-every", 0, 0, kNoMax));
   const bool reaper = kill_every > 0;
 
   const std::string codec_name = get_or(flags, "codec", "null");
@@ -1604,9 +1604,8 @@ int run(int argc, char** argv) {
     telemetry::PeriodicSnapshotWriter::Options opt;
     const auto comma = dir.find(',');
     if (comma != std::string::npos) {
-      const long ms = std::strtol(dir.c_str() + comma + 1, nullptr, 10);
-      if (ms <= 0) usage("bad --expose interval (want DIR[,MS] with MS >= 1)");
-      opt.interval = std::chrono::milliseconds(ms);
+      opt.interval = std::chrono::milliseconds(
+          parse_integer(dir.substr(comma + 1), "--expose interval MS", 1, kIntMax));
       dir.resize(comma);
     }
     if (dir.empty()) usage("bad --expose directory");
