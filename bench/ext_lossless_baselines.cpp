@@ -15,11 +15,11 @@
 
 #include "bench_common.hpp"
 #include "core/compressor.hpp"
-#include "core/truncation.hpp"
 #include "deflate/deflate.hpp"
 #include "fpc/fpc.hpp"
 #include "stats/error_metrics.hpp"
 #include "szlike/lorenzo.hpp"
+#include "truncation/truncation.hpp"
 #include "zfplike/block_codec.hpp"
 
 using namespace wck;

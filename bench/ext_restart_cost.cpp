@@ -13,6 +13,7 @@
 #include "ckpt/codec.hpp"
 #include "core/synthetic.hpp"
 #include "incremental/incremental.hpp"
+#include "truncation/truncation.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 

@@ -44,7 +44,7 @@
 #include "deflate/parallel.hpp"
 #include "encode/payload.hpp"
 #include "quantize/quantizer.hpp"
-#include "wavelet/transform.hpp"
+#include "wavelet/haar.hpp"
 
 using namespace wck;
 using namespace wck::bench;
@@ -57,7 +57,7 @@ Bytes formatted_payload(const NdArray<double>& input) {
   NdArray<double> work = input;
   const int levels = 1;
   const WaveletPlan plan = WaveletPlan::create(input.shape(), levels);
-  wavelet_forward(work.view(), WaveletKind::kHaar, levels);
+  haar_forward(work.view(), levels);
 
   std::vector<double> high;
   high.reserve(plan.high_count());
@@ -68,7 +68,6 @@ Bytes formatted_payload(const NdArray<double>& input) {
   LossyPayload p;
   p.shape = input.shape();
   p.levels = levels;
-  p.wavelet = WaveletKind::kHaar;
   p.quantizer = QuantizerKind::kSpike;
   p.averages = scheme.averages();
   p.low_band.reserve(plan.low_count());

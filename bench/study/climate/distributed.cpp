@@ -355,38 +355,4 @@ void DistributedClimate::read_local_checkpoint(const std::filesystem::path& dir,
   restore_local(zeta, temp, info.step);
 }
 
-void DistributedClimate::store_checkpoint_in_memory(InMemoryCheckpointStore& store,
-                                                    const Codec& codec) const {
-  WCK_TRACE_SPAN("dist.ckpt.memory_store");
-  NdArray<double> zeta = local_vorticity();
-  NdArray<double> temp = local_temperature();
-  CheckpointRegistry reg;
-  reg.add("vorticity", &zeta);
-  reg.add("temperature", &temp);
-  store.store(comm_.rank(), serialize_checkpoint(reg, codec, step_));
-}
-
-bool DistributedClimate::restore_checkpoint_from_memory(InMemoryCheckpointStore& store) {
-  WCK_TRACE_SPAN("dist.ckpt.memory_restore");
-  const bool reconstructed = !store.rank_alive(comm_.rank());
-  const std::optional<Bytes> payload = store.retrieve(comm_.rank());
-  if (!payload.has_value()) {
-    throw CorruptDataError("rank " + std::to_string(comm_.rank()) +
-                           ": in-memory checkpoint unrecoverable (parity group cannot "
-                           "reconstruct)");
-  }
-  NdArray<double> zeta;
-  NdArray<double> temp;
-  CheckpointRegistry reg;
-  reg.add("vorticity", &zeta);
-  reg.add("temperature", &temp);
-  const CheckpointInfo info = restore_checkpoint(*payload, reg);
-  restore_local(zeta, temp, info.step);
-  if (reconstructed) {
-    WCK_COUNTER_ADD("dist.ckpt.parity_recoveries", 1);
-    WCK_EVENT(kRestoreParity, info.step, "rank " + std::to_string(comm_.rank()));
-  }
-  return reconstructed;
-}
-
 }  // namespace wck

@@ -20,7 +20,6 @@
 #include "ckpt/codec.hpp"
 #include "climate/mini_climate.hpp"
 #include "comm/communicator.hpp"
-#include "redundancy/xor_parity.hpp"
 
 namespace wck {
 
@@ -66,19 +65,6 @@ class DistributedClimate {
   /// Restores the slab written by write_local_checkpoint at `step`.
   void read_local_checkpoint(const std::filesystem::path& dir, std::uint64_t step,
                              IoBackend* io = nullptr);
-
-  /// Serializes this rank's slab through `codec` into the peer-memory
-  /// parity store at this rank's slot (refreshing the group parity) —
-  /// the RAID-5-style in-memory tier of the paper's Sec. V refs
-  /// [27]-[29].
-  void store_checkpoint_in_memory(InMemoryCheckpointStore& store, const Codec& codec) const;
-
-  /// Restores this rank's slab from the store; when the rank's copy was
-  /// lost (fail_rank), the payload is reconstructed from its parity
-  /// group. Returns true iff parity reconstruction was needed. Throws
-  /// CorruptDataError when the group cannot reconstruct (double
-  /// failure, or nothing stored).
-  bool restore_checkpoint_from_memory(InMemoryCheckpointStore& store);
 
  private:
   /// dzeta/dtemp for the given slab state (with valid halos).

@@ -1,4 +1,4 @@
-#include "core/truncation.hpp"
+#include "truncation/truncation.hpp"
 
 #include <bit>
 
@@ -63,6 +63,15 @@ NdArray<double> truncation_decompress(std::span<const std::byte> data) {
   rr.f64_array(out.values());
   if (!rr.exhausted()) throw FormatError("truncation: trailing bytes");
   return out;
+}
+
+Bytes TruncationCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
+  WCK_STAGE("truncation", times);
+  return truncation_compress(array, keep_, level_);
+}
+
+NdArray<double> TruncationCodec::do_decode(std::span<const std::byte> data) const {
+  return truncation_decompress(data);
 }
 
 }  // namespace wck

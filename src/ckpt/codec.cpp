@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "core/truncation.hpp"
 #include "deflate/deflate.hpp"
 #include "fpc/fpc.hpp"
 #include "util/error.hpp"
@@ -89,26 +88,15 @@ NdArray<double> FpcCodec::do_decode(std::span<const std::byte> data) const {
   return NdArray<double>(shape, std::move(values));
 }
 
-Bytes TruncationCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
-  WCK_STAGE("truncation", times);
-  return truncation_compress(array, keep_, level_);
-}
-
-NdArray<double> TruncationCodec::do_decode(std::span<const std::byte> data) const {
-  return truncation_decompress(data);
-}
-
 const Codec& codec_for_decoding(std::string_view name) {
   static const NullCodec kNull;
   static const GzipCodec kGzip;
   static const WaveletLossyCodec kLossy;
   static const FpcCodec kFpc;
-  static const TruncationCodec kTruncation;
   if (name == "null") return kNull;
   if (name == "gzip") return kGzip;
   if (name == "wavelet-lossy") return kLossy;
   if (name == "fpc") return kFpc;
-  if (name == "truncation") return kTruncation;
   throw FormatError("unknown checkpoint codec: " + std::string(name));
 }
 

@@ -4,9 +4,14 @@
 //  * GzipCodec        — gzip over the raw doubles (Fig. 6's lossless
 //                       baseline, cr ~ 87 % on FP mesh data).
 //  * WaveletLossyCodec— the paper's proposed pipeline (src/core).
+//  * FpcCodec         — FPC-style predictive lossless compression
+//                       (src/fpc), the paper's related-work comparator.
 //
 // Every codec's output is self-describing (shape embedded), so decoding
 // needs only the codec name, which the checkpoint file records.
+// codec_for_decoding resolves exactly these four names; a file naming
+// any other codec, including the bench-only comparators in bench/study/
+// (the mantissa-truncating baseline, szlike, zfplike), is refused.
 #pragma once
 
 #include <memory>
@@ -110,23 +115,6 @@ class FpcCodec final : public Codec {
   [[nodiscard]] NdArray<double> do_decode(std::span<const std::byte> data) const override;
 
   int table_log2_;
-};
-
-/// Mantissa-truncation lossy baseline (src/core/truncation): bounds the
-/// pointwise relative error at 2^-kept but ignores spatial structure.
-class TruncationCodec final : public Codec {
- public:
-  explicit TruncationCodec(int keep_mantissa_bits = 20, int deflate_level = 6)
-      : keep_(keep_mantissa_bits), level_(deflate_level) {}
-  [[nodiscard]] std::string name() const override { return "truncation"; }
-  [[nodiscard]] bool lossy() const override { return true; }
-
- private:
-  [[nodiscard]] Bytes do_encode(const NdArray<double>& array, StageTimes* times) const override;
-  [[nodiscard]] NdArray<double> do_decode(std::span<const std::byte> data) const override;
-
-  int keep_;
-  int level_;
 };
 
 /// Returns a decoder instance for a codec name recorded in a checkpoint

@@ -290,7 +290,7 @@ std::optional<CheckpointInfo> CheckpointManager::try_restore_generation(
     return std::nullopt;
   }
   // Whole-file manifest check first: cheaper than decoding, and catches
-  // truncation/corruption even in fields the registry doesn't cover.
+  // truncated or corrupt files even in fields the registry doesn't cover.
   if (gen.size != 0 &&
       (data.size() != gen.size || crc32(std::span<const std::byte>(data)) != gen.crc)) {
     WCK_COUNTER_ADD("ckpt.restore.manifest_mismatches", 1);

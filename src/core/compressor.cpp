@@ -156,7 +156,7 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
   const WaveletPlan plan = WaveletPlan::create(input.shape(), params_.wavelet_levels);
   {
     WCK_STAGE("wavelet", &out.times);
-    wavelet_forward(work.view(), params_.wavelet, params_.wavelet_levels);
+    haar_forward(work.view(), params_.wavelet_levels);
   }
 
   // --- Stages 2-4: quantization, then encoding + formatting. Fig. 9's
@@ -187,7 +187,6 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
 
       p.shape = input.shape();
       p.levels = params_.wavelet_levels;
-      p.wavelet = params_.wavelet;
       p.quantizer = params_.quantizer.kind;
       p.averages = scheme.averages();
       p.low_band.reserve(plan.low_count());
@@ -316,7 +315,7 @@ NdArray<double> WaveletCompressor::decompress(std::span<const std::byte> data) {
     work = decode_bands(view);
   }
   WCK_STAGE("wavelet_inverse", nullptr);
-  wavelet_inverse(work.view(), view.wavelet, view.levels);
+  haar_inverse(work.view(), view.levels);
   return work;
 }
 
@@ -330,7 +329,6 @@ StreamInfo WaveletCompressor::inspect(std::span<const std::byte> data) {
   StreamInfo info;
   info.shape = v.shape;
   info.levels = v.levels;
-  info.wavelet = v.wavelet;
   info.quantizer = v.quantizer;
   info.entropy_tag = tag;
   info.averages_count = v.averages_count();

@@ -43,9 +43,10 @@ enum class EntropyMode : std::uint8_t {
 struct CompressionParams {
   QuantizerConfig quantizer{};
   int wavelet_levels = 1;  ///< the paper uses a single level per axis
-  /// Transform family; the paper uses Haar, CDF 5/3 / 9/7 are the
-  /// JPEG 2000 transforms its Sec. II-C motivation points to.
-  WaveletKind wavelet = WaveletKind::kHaar;
+  /// The transform, always Haar (paper Sec. III-A). A constant, not an
+  /// option: it stays only because the perfbench driver reads
+  /// `params.wavelet`, and ROADMAP item 1's benchmark change can drop it.
+  static constexpr WaveletKind wavelet = WaveletKind::kHaar;
   EntropyMode entropy = EntropyMode::kDeflate;
   int deflate_level = 6;
   /// Entropy-stage worker count; never changes the output bytes, which
@@ -97,7 +98,6 @@ class CompressionObserver {
 struct StreamInfo {
   Shape shape;
   int levels = 0;
-  WaveletKind wavelet = WaveletKind::kHaar;
   QuantizerKind quantizer = QuantizerKind::kSpike;
   std::uint8_t entropy_tag = 0;      ///< 0 none, 3 Huffman-only, 4 WCKP deflate
                                      ///< (the only tags a stream can carry)

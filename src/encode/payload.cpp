@@ -12,6 +12,9 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x4C4B4357;  // "WCKL" little-endian
 constexpr std::uint8_t kVersion = 2;  // v2 added the wavelet-kind field
+/// The wavelet-kind byte. Haar is the only transform, so it is the
+/// only value a stream can carry.
+constexpr std::uint8_t kWaveletHaar = 0;
 
 /// The next `count` elements of `width` bytes each, as a view. The count
 /// is checked against the bytes left before it is multiplied, so a
@@ -66,7 +69,7 @@ Bytes encode_payload(const LossyPayload& p) {
   w.u32(kMagic);
   w.u8(kVersion);
   w.u8(static_cast<std::uint8_t>(p.quantizer));
-  w.u8(static_cast<std::uint8_t>(p.wavelet));
+  w.u8(kWaveletHaar);
   w.u8(static_cast<std::uint8_t>(p.shape.rank()));
   w.u8(static_cast<std::uint8_t>(p.levels));
   for (std::size_t a = 0; a < p.shape.rank(); ++a) w.varint(p.shape[a]);
@@ -107,9 +110,7 @@ PayloadView parse_payload(std::span<const std::byte> data) {
   const std::uint8_t kind = r.u8();
   if (kind > 1) throw FormatError("payload: unknown quantizer kind");
   v.quantizer = static_cast<QuantizerKind>(kind);
-  const std::uint8_t wkind = r.u8();
-  if (wkind > 2) throw FormatError("payload: unknown wavelet kind");
-  v.wavelet = static_cast<WaveletKind>(wkind);
+  if (r.u8() != kWaveletHaar) throw FormatError("payload: unknown wavelet kind");
   const std::uint8_t rank = r.u8();
   if (rank < 1 || rank > kMaxRank) throw FormatError("payload: invalid rank");
   v.levels = r.u8();
@@ -158,7 +159,6 @@ LossyPayload decode_payload(std::span<const std::byte> data) {
   LossyPayload p;
   p.shape = v.shape;
   p.levels = v.levels;
-  p.wavelet = v.wavelet;
   p.quantizer = v.quantizer;
   p.averages = f64_vector(v.averages);
   p.low_band = f64_vector(v.low_band);

@@ -21,7 +21,6 @@
 #include "ndarray/shape.hpp"
 #include "quantize/quantizer.hpp"
 #include "util/bytes.hpp"
-#include "wavelet/transform.hpp"
 
 namespace wck {
 
@@ -30,7 +29,6 @@ namespace wck {
 struct LossyPayload {
   Shape shape;                     ///< original array extents
   int levels = 1;                  ///< wavelet transform depth
-  WaveletKind wavelet = WaveletKind::kHaar;
   QuantizerKind quantizer = QuantizerKind::kSpike;
   std::vector<double> averages;    ///< representative values (size <= 256)
   std::vector<double> low_band;    ///< final low corner, row-major
@@ -52,7 +50,6 @@ struct LossyPayload {
 struct PayloadView {
   Shape shape;
   int levels = 1;
-  WaveletKind wavelet = WaveletKind::kHaar;
   QuantizerKind quantizer = QuantizerKind::kSpike;
   std::span<const std::byte> averages;        ///< averages_count() doubles
   std::span<const std::byte> low_band;        ///< low_count() doubles, row-major

@@ -3,8 +3,7 @@
 // NdArray<T> owns contiguous row-major storage. NdSpan<T> is a mutable
 // strided window into another array (used by the multi-level wavelet
 // transform to recurse into the low-frequency corner block without
-// copying). Both expose for_each_line(), which visits every 1D line
-// along a chosen axis — the access pattern of separable transforms.
+// copying).
 #pragma once
 
 #include <array>
@@ -16,19 +15,6 @@
 #include "util/error.hpp"
 
 namespace wck {
-
-/// A 1D line inside a (possibly strided) array: `count` elements starting
-/// at `base`, `stride` elements apart.
-template <typename T>
-struct Line {
-  T* base;
-  std::size_t count;
-  std::ptrdiff_t stride;
-
-  [[nodiscard]] T& operator[](std::size_t i) const noexcept {
-    return base[static_cast<std::ptrdiff_t>(i) * stride];
-  }
-};
 
 /// Non-owning mutable strided view over rank 1..4 data.
 template <typename T>
@@ -89,34 +75,6 @@ class NdSpan {
       sub[a] = extents[a];
     }
     return NdSpan(data_ + off, sub, strides_);
-  }
-
-  /// Visits every 1D line along `axis`. `fn` receives a Line<T>.
-  template <typename Fn>
-  void for_each_line(std::size_t axis, Fn&& fn) const {
-    if (axis >= rank()) throw InvalidArgumentError("for_each_line axis out of range");
-    if (size() == 0) return;
-    // Odometer over the outer product of all axes except `axis`.
-    std::array<std::size_t, kMaxRank> other{};
-    std::size_t n_other = 0;
-    for (std::size_t a = 0; a < rank(); ++a) {
-      if (a != axis) other[n_other++] = a;
-    }
-    std::array<std::size_t, kMaxRank> idx{};
-    for (;;) {
-      std::size_t off = 0;
-      for (std::size_t t = 0; t < n_other; ++t) off += idx[t] * strides_[other[t]];
-      fn(Line<T>{data_ + off, shape_[axis], static_cast<std::ptrdiff_t>(strides_[axis])});
-      bool done = true;
-      for (std::size_t t = n_other; t-- > 0;) {
-        if (++idx[t] < shape_[other[t]]) {
-          done = false;
-          break;
-        }
-        idx[t] = 0;
-      }
-      if (done) return;
-    }
   }
 
   /// Copies this (possibly strided) view into a contiguous buffer.

@@ -178,7 +178,7 @@ using AnyMessage =
                  ShutdownOkResponse, ErrorResponse>;
 
 /// Decodes a frame's payload according to its type byte. Throws
-/// FormatError on an unknown type or malformed payload (truncation,
+/// FormatError on an unknown type or malformed payload (truncated,
 /// shape/value-count mismatch, trailing bytes).
 [[nodiscard]] AnyMessage decode_message(const Frame& frame);
 

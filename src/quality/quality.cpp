@@ -7,7 +7,6 @@
 
 #include "util/error.hpp"
 #include "wavelet/haar.hpp"
-#include "wavelet/transform.hpp"
 
 namespace wck::quality {
 namespace {
@@ -237,8 +236,8 @@ VariableQuality analyze_pair(const NdArray<double>& original,
 
   NdArray<double> orig_t = original;
   NdArray<double> recon_t = reconstructed;
-  wavelet_forward(orig_t.view(), params.wavelet, params.wavelet_levels);
-  wavelet_forward(recon_t.view(), params.wavelet, params.wavelet_levels);
+  haar_forward(orig_t.view(), params.wavelet_levels);
+  haar_forward(recon_t.view(), params.wavelet_levels);
 
   std::vector<double> orig_high;
   std::vector<double> recon_high;

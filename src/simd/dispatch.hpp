@@ -91,7 +91,7 @@ void reset_active_level_for_test();
 /// this exact function so the definition lives in one place.
 /// Equivalent to floor((v - lo) * inv_width) clamped to
 /// [0, divisions - 1], with NaN and -inf mapping to 0 and +inf to
-/// divisions - 1 (truncation equals floor once x >= 1).
+/// divisions - 1 (truncating toward zero equals floor once x >= 1).
 [[nodiscard]] inline std::int32_t grid_index_one(double v, double lo, double inv_width,
                                                  std::int32_t divisions) noexcept {
   const double x = (v - lo) * inv_width;

@@ -17,7 +17,7 @@
 //    scalar reference does; lane order cannot leak into the output.
 //  * grid index: clamping x into [0, divisions-1] in the double domain
 //    and then truncating equals floor-then-clamp for every input the
-//    contract defines (truncation == floor once x >= 1; max_pd(x, 0)
+//    contract defines (truncating == floor once x >= 1; max_pd(x, 0)
 //    maps NaN and negatives to 0; min_pd clamps +inf and overflow).
 //  * bitmap_pack_ge0 and adler32 are integer arithmetic
 //    and pure data movement, so equality with scalar is exact by

@@ -99,9 +99,10 @@ class BitWriter {
 /// load; near the end it takes the rest byte by byte and pads with zero
 /// bytes, counting them. The padding lets a decoder read a whole
 /// length/distance pair (at most 15 + 5 + 15 + 13 = 48 bits) after one
-/// refill with no bounds check per read. Reading a padded bit is
-/// truncation: overrun() reports it, get() and the tail refill throw on
-/// it, and decoders test it where a block or stream ends.
+/// refill with no bounds check per read. Reading a padded bit means
+/// the stream is truncated: overrun() reports it, get() and the tail
+/// refill throw on it, and decoders test it where a block or stream
+/// ends.
 class BitReader {
  public:
   /// Bits a refill() guarantees in the buffer.

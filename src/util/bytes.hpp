@@ -2,7 +2,7 @@
 //
 // ByteWriter appends fixed-width integers, floating-point values and raw
 // blobs to a growable buffer; ByteReader consumes them with bounds
-// checking and throws FormatError on truncation. All multi-byte values
+// checking and throws FormatError on truncated input. All multi-byte values
 // are little-endian regardless of host order, so checkpoint payloads are
 // portable.
 #pragma once

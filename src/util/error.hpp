@@ -31,7 +31,7 @@ class FormatError : public Error {
 };
 
 /// Data failed an integrity check (CRC-32 / Adler-32 mismatch,
-/// truncation detected past the header).
+/// a truncated stream detected past the header).
 class CorruptDataError : public Error {
  public:
   explicit CorruptDataError(const std::string& what) : Error(what) {}

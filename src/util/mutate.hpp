@@ -4,7 +4,7 @@
 // (tests/sanitize_decode_test.cpp) share this engine so that every
 // corruption a CI run exercises can be reproduced locally from a seed.
 // Mutations model the failure classes a checkpoint file actually sees:
-// bit rot (flips), short writes (truncation), torn writes (garbage
+// bit rot (flips), short writes (truncated files), torn writes (garbage
 // tails), and targeted corruption of length/count fields.
 #pragma once
 

@@ -1,17 +1,12 @@
-// Selectable wavelet transforms for the compression pipeline.
+// The pipeline's one transform, named the way the perfbench driver
+// calls it.
 //
-// The paper uses the Haar transform (Sec. III-A) and motivates wavelets
-// via JPEG 2000 (Sec. II-C), whose standard transforms are the CDF 5/3
-// (LeGall) and CDF 9/7 biorthogonal wavelets. Its future work names
-// "improvement of the compression algorithm"; these longer filters
-// decorrelate smooth data better than Haar, concentrating more energy
-// in the low band at the cost of more arithmetic.
-//
-// All transforms share the Haar module's band layout: each level splits
-// every axis into [L | H] halves in place, recursing into the low
-// corner, so WaveletPlan / for_each_high_band apply unchanged.
-// Implemented with lifting steps and symmetric boundary extension;
-// inverses undo the lifting exactly (up to FP rounding).
+// The paper uses the Haar transform (Sec. III-A) and nothing else, so
+// the compressor calls haar_forward / haar_inverse directly. These
+// names remain only because perfbench/driver/layers.cpp replays the
+// wavelet layer through them; ROADMAP item 1's benchmark change can
+// switch that replay to haar_forward / haar_inverse and drop this
+// header, together with CompressionParams::wavelet.
 #pragma once
 
 #include <cstdint>
@@ -21,19 +16,18 @@
 
 namespace wck {
 
-enum class WaveletKind : std::uint8_t {
-  kHaar = 0,   ///< the paper's transform (Eq. 2-3)
-  kCdf53 = 1,  ///< LeGall 5/3 (JPEG 2000 lossless path)
-  kCdf97 = 2,  ///< CDF 9/7 (JPEG 2000 lossy path)
-};
+/// The transform family. Haar is the only one; the stream's wavelet
+/// byte is always this value.
+enum class WaveletKind : std::uint8_t { kHaar = 0 };
 
-/// Human-readable name ("haar", "cdf53", "cdf97").
-[[nodiscard]] const char* wavelet_kind_name(WaveletKind kind);
+/// haar_forward(a, levels).
+inline void wavelet_forward(NdSpan<double> a, WaveletKind /*kind*/, int levels) {
+  haar_forward(a, levels);
+}
 
-/// In-place forward transform of `a`, `levels` deep, using `kind`.
-void wavelet_forward(NdSpan<double> a, WaveletKind kind, int levels = 1);
-
-/// In-place inverse transform.
-void wavelet_inverse(NdSpan<double> a, WaveletKind kind, int levels = 1);
+/// haar_inverse(a, levels).
+inline void wavelet_inverse(NdSpan<double> a, WaveletKind /*kind*/, int levels) {
+  haar_inverse(a, levels);
+}
 
 }  // namespace wck

@@ -7,12 +7,12 @@
 #include "ckpt/codec.hpp"
 #include "core/compressor.hpp"
 #include "core/synthetic.hpp"
-#include "core/truncation.hpp"
 #include "deflate/deflate.hpp"
 #include "deflate/huffman_only.hpp"
 #include "deflate/parallel.hpp"
 #include "encode/payload.hpp"
 #include "fpc/fpc.hpp"
+#include "truncation/truncation.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 

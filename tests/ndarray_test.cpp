@@ -79,65 +79,16 @@ TEST(NdSpan, SubblockOutOfRangeRejected) {
   EXPECT_THROW((void)a.view().subblock(offs, exts), InvalidArgumentError);
 }
 
-TEST(NdSpan, ForEachLineAxis0CoversAllColumns) {
-  NdArray<double> a(Shape{3, 4});
-  std::iota(a.values().begin(), a.values().end(), 0.0);
-  std::size_t lines = 0;
-  a.view().for_each_line(0, [&](const Line<double>& ln) {
-    EXPECT_EQ(ln.count, 3u);
-    EXPECT_EQ(ln.stride, 4);
-    ++lines;
-  });
-  EXPECT_EQ(lines, 4u);  // one line per column
-}
-
-TEST(NdSpan, ForEachLineAxis1CoversAllRows) {
-  NdArray<double> a(Shape{3, 4});
-  std::size_t lines = 0;
-  a.view().for_each_line(1, [&](const Line<double>& ln) {
-    EXPECT_EQ(ln.count, 4u);
-    EXPECT_EQ(ln.stride, 1);
-    ++lines;
-  });
-  EXPECT_EQ(lines, 3u);
-}
-
-TEST(NdSpan, ForEachLineVisitsEveryElementExactlyOnce) {
-  // Property: over all axes, each element is touched (rank) times total,
-  // once per axis.
-  for (const Shape& shape : {Shape{5}, Shape{3, 4}, Shape{2, 3, 4}, Shape{2, 2, 2, 3}}) {
-    NdArray<int> a(shape, 0);
-    for (std::size_t ax = 0; ax < shape.rank(); ++ax) {
-      a.view().for_each_line(ax, [&](const Line<int>& ln) {
-        for (std::size_t i = 0; i < ln.count; ++i) ln[i] += 1;
-      });
-    }
-    for (const int v : a.values()) {
-      EXPECT_EQ(v, static_cast<int>(shape.rank())) << shape.to_string();
-    }
-  }
-}
-
-TEST(NdSpan, ForEachLineRank1IsSingleLine) {
-  NdArray<double> a(Shape{7});
-  std::size_t lines = 0;
-  a.view().for_each_line(0, [&](const Line<double>& ln) {
-    EXPECT_EQ(ln.count, 7u);
-    ++lines;
-  });
-  EXPECT_EQ(lines, 1u);
-}
-
-TEST(NdSpan, ForEachLineOnSubblockUsesParentStrides) {
+TEST(NdSpan, VisitRowMajorOnSubblockUsesParentStrides) {
   NdArray<double> a(Shape{4, 6});
   std::iota(a.values().begin(), a.values().end(), 0.0);
   const std::size_t offs[] = {1, 1};
   const std::size_t exts[] = {2, 3};
   auto sub = a.view().subblock(offs, exts);
+  EXPECT_EQ(sub.stride(0), 6u);
+  EXPECT_EQ(sub.stride(1), 1u);
   std::vector<double> seen;
-  sub.for_each_line(1, [&](const Line<double>& ln) {
-    for (std::size_t i = 0; i < ln.count; ++i) seen.push_back(ln[i]);
-  });
+  sub.visit_row_major([&](double& v) { seen.push_back(v); });
   EXPECT_EQ(seen, (std::vector<double>{7, 8, 9, 13, 14, 15}));
 }
 

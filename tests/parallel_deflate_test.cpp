@@ -18,6 +18,7 @@
 #include "core/compressor.hpp"
 #include "core/synthetic.hpp"
 #include "deflate/deflate.hpp"
+#include "util/checksum.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -420,6 +421,40 @@ TEST(CompressorSharded, TagsOutsideTheWrittenSetAreRejected) {
   for (const int tag : {5, 6, 127, 255}) {
     stream[0] = static_cast<std::byte>(tag);
     expect_unknown_tag(stream, tag);
+  }
+}
+
+TEST(CompressorSharded, RetiredWaveletKindsAreRejected) {
+  // The read policy applied to the payload's wavelet byte: Haar (0) is
+  // the only transform the encoder writes, so the CDF 5/3 (1) and 9/7
+  // (2) kinds it once wrote are refused even behind a valid CRC-32.
+  const NdArray<double> field = make_temperature_field(Shape{40, 24}, 2);
+  CompressionParams none;
+  none.entropy = EntropyMode::kNone;
+  Bytes stream = WaveletCompressor(none).compress(field).data;
+  // Tag, then the payload: magic (4), version, quantizer, wavelet.
+  constexpr std::size_t kWaveletByte = 1 + 4 + 1 + 1;
+  ASSERT_EQ(static_cast<int>(stream[kWaveletByte]), 0);
+  for (const int kind : {1, 2}) {
+    stream[kWaveletByte] = static_cast<std::byte>(kind);
+    const auto payload = std::span<const std::byte>(stream).subspan(1);
+    const std::uint32_t crc = crc32(payload.first(payload.size() - 4));
+    for (std::size_t i = 0; i < 4; ++i) {
+      stream[stream.size() - 4 + i] = static_cast<std::byte>(crc >> (8 * i));
+    }
+    for (const bool inspect : {false, true}) {
+      try {
+        if (inspect) {
+          (void)WaveletCompressor::inspect(stream);
+        } else {
+          (void)WaveletCompressor::decompress(stream);
+        }
+        ADD_FAILURE() << "wavelet kind " << kind << " accepted (inspect=" << inspect << ")";
+      } catch (const FormatError& e) {
+        EXPECT_EQ(std::string(e.what()), "payload: unknown wavelet kind")
+            << "kind=" << kind << " inspect=" << inspect;
+      }
+    }
   }
 }
 

@@ -1,7 +1,9 @@
 // Property sweep across the pipeline's full configuration space:
-// every (wavelet kind x quantizer x entropy mode x transform depth x
+// every (wavelet x quantizer x entropy mode x transform depth x
 // division number) combination must round-trip with bounded error,
-// self-describe, and respect its structural invariants.
+// self-describe, and respect its structural invariants. The wavelet
+// axis has one value, Haar; it stays in the tuple so each cell keeps
+// its test name.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -21,8 +23,8 @@ class PipelineSweep : public ::testing::TestWithParam<SweepParam> {
  protected:
   [[nodiscard]] CompressionParams params() const {
     const auto& [wavelet, quantizer, entropy, levels, divisions] = GetParam();
+    EXPECT_EQ(wavelet, CompressionParams::wavelet);
     CompressionParams p;
-    p.wavelet = wavelet;
     p.quantizer.kind = quantizer;
     p.quantizer.divisions = divisions;
     p.quantizer.spike_partitions = 64;
@@ -39,8 +41,10 @@ TEST_P(PipelineSweep, RoundTripBoundedErrorOnSmoothData) {
   EXPECT_EQ(rt.reconstructed.shape(), field.shape());
   // Error bound scaled to the configuration: n=1 collapses every
   // quantized coefficient to one value (tens of percent on deep
-  // transforms); n=128 keeps the error well under a percent.
-  const double bound = std::get<4>(GetParam()) == 1 ? 40.0 : 1.0;
+  // transforms); n=16 stays within a few percent (the simple quantizer
+  // reaches 1.4 % at depth 2); n=128 keeps the error well under a percent.
+  const int divisions = std::get<4>(GetParam());
+  const double bound = divisions == 1 ? 40.0 : divisions == 16 ? 5.0 : 1.0;
   EXPECT_LT(rt.error.mean_rel_percent(), bound);
   EXPECT_GT(rt.compressed.data.size(), 0u);
   EXPECT_LE(rt.compressed.quantized_count, rt.compressed.high_count);
@@ -67,12 +71,12 @@ TEST_P(PipelineSweep, DeterministicStreams) {
 INSTANTIATE_TEST_SUITE_P(
     AllConfigurations, PipelineSweep,
     ::testing::Combine(
-        ::testing::Values(WaveletKind::kHaar, WaveletKind::kCdf53, WaveletKind::kCdf97),
+        ::testing::Values(WaveletKind::kHaar),
         ::testing::Values(QuantizerKind::kSimple, QuantizerKind::kSpike),
         ::testing::Values(EntropyMode::kNone, EntropyMode::kDeflate,
                           EntropyMode::kHuffmanOnly),
-        ::testing::Values(1, 2),
-        ::testing::Values(1, 128)));
+        ::testing::Values(1, 2, 3),
+        ::testing::Values(1, 16, 128)));
 
 // Shape edge-case sweep: every rank, odd extents, degenerate axes.
 class ShapeSweep : public ::testing::TestWithParam<Shape> {};

@@ -712,60 +712,5 @@ TEST(DistributedResilience, PerRankFaultInjectionIsScopedToTheRank) {
   });
 }
 
-TEST(DistributedResilience, ParityGroupRecoversALostRank) {
-  const NullCodec codec;
-  constexpr std::size_t kRanks = 4;
-  InMemoryCheckpointStore store(kRanks, 2);
-  World world(kRanks);
-
-  std::vector<NdArray<double>> zeta_at_ckpt(kRanks);
-  std::vector<NdArray<double>> temp_at_ckpt(kRanks);
-
-  world.run([&](Comm& comm) {
-    DistributedClimate model(small_grid(), comm);
-    model.run(5);
-    model.store_checkpoint_in_memory(store, codec);
-    zeta_at_ckpt[comm.rank()] = model.local_vorticity();
-    temp_at_ckpt[comm.rank()] = model.local_temperature();
-    comm.barrier();
-
-    // Diverge past the checkpoint, then lose rank 1's memory.
-    model.run(4);
-    comm.barrier();
-    if (comm.rank() == 0) store.fail_rank(1);
-    comm.barrier();
-
-    const bool reconstructed = model.restore_checkpoint_from_memory(store);
-    EXPECT_EQ(reconstructed, comm.rank() == 1);
-    EXPECT_EQ(model.step_count(), 5u);
-    EXPECT_EQ(model.local_vorticity(), zeta_at_ckpt[comm.rank()]);
-    EXPECT_EQ(model.local_temperature(), temp_at_ckpt[comm.rank()]);
-
-    // The restored ensemble keeps stepping identically to an unfailed
-    // reference (collective health check).
-    model.run(2);
-  });
-}
-
-TEST(DistributedResilience, DoubleFailureInGroupIsLoud) {
-  const NullCodec codec;
-  InMemoryCheckpointStore store(4, 2);
-  World world(4);
-  world.run([&](Comm& comm) {
-    DistributedClimate model(small_grid(), comm);
-    model.run(2);
-    model.store_checkpoint_in_memory(store, codec);
-    comm.barrier();
-    if (comm.rank() == 0) {
-      store.fail_rank(0);
-      store.fail_rank(1);  // both members of group 0
-    }
-    comm.barrier();
-    if (comm.rank() == 0) {
-      EXPECT_THROW((void)model.restore_checkpoint_from_memory(store), CorruptDataError);
-    }
-  });
-}
-
 }  // namespace
 }  // namespace wck

@@ -31,7 +31,6 @@ LossyPayload reference_payload() {
   LossyPayload p;
   p.shape = Shape{8, 8};
   p.levels = 1;
-  p.wavelet = WaveletKind::kHaar;
   p.quantizer = QuantizerKind::kSpike;
   p.averages = {0.0, 0.5, -0.5, 1.25};
   p.low_band.resize(16);

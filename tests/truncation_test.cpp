@@ -5,8 +5,8 @@
 #include <cmath>
 
 #include "core/synthetic.hpp"
-#include "core/truncation.hpp"
 #include "stats/error_metrics.hpp"
+#include "truncation/truncation.hpp"
 #include "util/error.hpp"
 
 namespace wck {
@@ -51,6 +51,20 @@ TEST(Truncation, CompressDecompressRoundTrip) {
   auto truncated = field;
   truncate_mantissa(truncated.values(), 16);
   EXPECT_EQ(back, truncated);
+}
+
+TEST(Truncation, CodecMatchesTheFreeFunctions) {
+  // TruncationCodec is how the benches time the baseline next to the
+  // system codecs; its bytes are truncation_compress's.
+  const auto field = make_temperature_field(Shape{48, 24, 2}, 4);
+  const TruncationCodec codec(16);
+  EXPECT_EQ(codec.name(), "truncation");
+  EXPECT_TRUE(codec.lossy());
+  StageTimes times;
+  const Bytes data = codec.encode(field, &times);
+  EXPECT_EQ(data, truncation_compress(field, 16));
+  EXPECT_GT(times.get("truncation"), 0.0);
+  EXPECT_EQ(codec.decode(data), truncation_decompress(data));
 }
 
 TEST(Truncation, FewerBitsCompressBetter) {

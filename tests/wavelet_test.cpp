@@ -2,8 +2,11 @@
 // (paper Sec. III-A, Eq. 2-3, Fig. 2-3).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "ndarray/ndarray.hpp"
 #include "util/error.hpp"
@@ -144,6 +147,99 @@ INSTANTIATE_TEST_SUITE_P(
         // The paper's NICAM array shape.
         std::make_tuple(Shape{1156, 82, 2}, 1),
         std::make_tuple(Shape{3, 4, 5, 6}, 2)));
+
+/// Eq. 2-3 applied line by line: the definition the tiled haar_forward
+/// and haar_inverse must match bit for bit. Along `axis` of `block`,
+/// every line becomes [L | H] with L[i] = (a[2i] + a[2i+1]) / 2 and
+/// H[i] = (a[2i] - a[2i+1]) / 2, an odd line keeping its last element as
+/// the last L; the inverse is a[2i] = L[i] + H[i], a[2i+1] = L[i] - H[i].
+void reference_pass(NdSpan<double> block, std::size_t axis, bool inverse) {
+  const std::size_t r = block.rank();
+  const std::size_t n = block.extent(axis);
+  const std::size_t pairs = n / 2;
+  const std::size_t step = block.stride(axis);
+  std::array<std::size_t, kMaxRank> offs{};
+  std::array<std::size_t, kMaxRank> exts{};
+  for (std::size_t a = 0; a < r; ++a) exts[a] = a == axis ? 1 : block.extent(a);
+  std::vector<double> out(n);
+  const auto starts = block.subblock(std::span(offs.data(), r), std::span(exts.data(), r));
+  starts.visit_row_major([&](double& first) {
+    double* x = &first;
+    for (std::size_t i = 0; i < pairs; ++i) {
+      if (inverse) {
+        out[2 * i] = x[i * step] + x[(n - pairs + i) * step];
+        out[2 * i + 1] = x[i * step] - x[(n - pairs + i) * step];
+      } else {
+        out[i] = (x[2 * i * step] + x[(2 * i + 1) * step]) / 2.0;
+        out[n - pairs + i] = (x[2 * i * step] - x[(2 * i + 1) * step]) / 2.0;
+      }
+    }
+    if (n % 2 != 0) {
+      if (inverse) {
+        out[n - 1] = x[pairs * step];
+      } else {
+        out[pairs] = x[(n - 1) * step];
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) x[i * step] = out[i];
+  });
+}
+
+/// The multi-level transform from reference_pass: forward runs axes
+/// 0..rank-1 on each level's low block, the inverse unwinds both orders.
+void reference_haar(NdArray<double>& a, int levels, bool inverse) {
+  const WaveletPlan plan = WaveletPlan::create(a.shape(), levels);
+  const std::size_t r = a.rank();
+  std::vector<NdSpan<double>> blocks = {a.view()};
+  std::array<std::size_t, kMaxRank> offs{};
+  std::array<std::size_t, kMaxRank> exts{};
+  for (int l = 0; l + 1 < levels; ++l) {
+    for (std::size_t ax = 0; ax < r; ++ax) exts[ax] = plan.low_extents(l)[ax];
+    blocks.push_back(a.view().subblock(std::span(offs.data(), r), std::span(exts.data(), r)));
+  }
+  if (inverse) {
+    for (std::size_t l = blocks.size(); l-- > 0;) {
+      for (std::size_t ax = r; ax-- > 0;) reference_pass(blocks[l], ax, true);
+    }
+  } else {
+    for (const NdSpan<double>& block : blocks) {
+      for (std::size_t ax = 0; ax < r; ++ax) reference_pass(block, ax, false);
+    }
+  }
+}
+
+class HaarReference : public ::testing::TestWithParam<std::tuple<Shape, int>> {};
+
+TEST_P(HaarReference, ForwardMatchesPerLineEquations) {
+  const auto& [shape, levels] = GetParam();
+  NdArray<double> tiled = random_array(shape, 41 + shape.size());
+  NdArray<double> ref = tiled;
+  haar_forward(tiled.view(), levels);
+  reference_haar(ref, levels, false);
+  EXPECT_EQ(tiled, ref);
+}
+
+TEST_P(HaarReference, InverseMatchesPerLineEquations) {
+  const auto& [shape, levels] = GetParam();
+  NdArray<double> tiled = random_array(shape, 43 + shape.size());
+  NdArray<double> ref = tiled;
+  haar_inverse(tiled.view(), levels);
+  reference_haar(ref, levels, true);
+  EXPECT_EQ(tiled, ref);
+}
+
+// Rank 1-4, odd and even extents, extent-1 and extent-2 axes (the
+// back-to-back pair loop), and tiles wide enough to split into strips
+// (300x300, the paper's 1156x82x2).
+INSTANTIATE_TEST_SUITE_P(
+    ShapesAndLevels, HaarReference,
+    ::testing::Combine(::testing::Values(Shape{1}, Shape{2}, Shape{7}, Shape{64}, Shape{1001},
+                                         Shape{1, 9}, Shape{9, 1}, Shape{2, 2}, Shape{15, 17},
+                                         Shape{300, 300}, Shape{1156, 82, 2}, Shape{37, 5, 3},
+                                         Shape{8, 1, 8}, Shape{2, 2, 2}, Shape{3, 4, 5, 6},
+                                         Shape{7, 5, 6, 3}, Shape{2, 1, 2, 1},
+                                         Shape{5, 2, 1, 2}),
+                       ::testing::Values(1, 2, 3)));
 
 TEST(WaveletPlan, LowExtentsHalveCeiling) {
   const WaveletPlan p = WaveletPlan::create(Shape{9, 8}, 2);

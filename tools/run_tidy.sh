@@ -62,7 +62,7 @@ echo "run_tidy.sh: $("${tidy_bin}" --version | head -n 2 | tail -n 1 | sed 's/^ 
 echo "run_tidy.sh: checking ${#sources[@]} translation units against ${baseline#"${repo_root}"/}"
 
 raw_log="$(mktemp)"
-trap 'rm -f "${raw_log}" "${raw_log}.findings" "${raw_log}.new"' EXIT
+trap 'rm -f "${raw_log}" "${raw_log}.findings" "${raw_log}.new" "${raw_log}.baseline"' EXIT
 
 status=0
 for src in "${sources[@]}"; do

@@ -55,8 +55,10 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -189,6 +191,19 @@ long long parse_integer(const std::string& text, const std::string& what, long l
     usage((what + " must be an integer in [" + std::to_string(min) + ", " +
            std::to_string(max) + "], got \"" + text + "\"")
               .c_str());
+  }
+  return v;
+}
+
+/// Parses `text` as a finite, non-negative decimal number. Anything else
+/// (an empty value, a suffix as in "5%", "inf", a negative value) is a
+/// usage error naming `what`, never a silent 0 or a dropped suffix.
+double parse_nonnegative(const std::string& text, const std::string& what) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno == ERANGE || !std::isfinite(v) || v < 0.0) {
+    usage((what + " must be a finite non-negative number, got \"" + text + "\"").c_str());
   }
   return v;
 }
@@ -437,6 +452,10 @@ int cmd_info(const std::map<std::string, std::string>& flags) {
 }
 
 int cmd_verify(const std::map<std::string, std::string>& flags) {
+  // The bound is a usage check, so it is parsed before any file is read.
+  const auto bound = flags.find("max-mean-rel");
+  const double limit_pct =
+      bound == flags.end() ? 0.0 : parse_nonnegative(bound->second, "--max-mean-rel");
   const Bytes data = read_file(require(flags, "in"));
   const NdArray<double> restored = WaveletCompressor::decompress(data);
   const NdArray<double> original =
@@ -454,9 +473,7 @@ int cmd_verify(const std::map<std::string, std::string>& flags) {
 
   // Exit code matches the report: with a bound given, exceeding it is a
   // failure (previously the text always reported success via exit 0).
-  const auto bound = flags.find("max-mean-rel");
   if (bound != flags.end()) {
-    const double limit_pct = std::strtod(bound->second.c_str(), nullptr);
     if (err.mean_rel_percent() > limit_pct) {
       std::fprintf(stderr, "wckpt: mean relative error %.6f %% exceeds bound %.6f %%\n",
                    err.mean_rel_percent(), limit_pct);
@@ -515,7 +532,6 @@ int cmd_analyze(const std::map<std::string, std::string>& flags) {
 
   CompressionParams p;
   p.wavelet_levels = info.levels;
-  p.wavelet = info.wavelet;
   p.quantizer.kind = info.quantizer;
   // Effective n is the serialized averages-table size; classification
   // (quantized vs exact) depends only on the spike detection, so a

@@ -2,8 +2,8 @@
 //
 // Builds a corpus of valid encoded artifacts — a Fig. 5 payload, full
 // WaveletCompressor streams (serial and sharded-parallel), a multi-field
-// checkpoint, raw DEFLATE with the gzip/zlib/WCKP containers, FPC and
-// truncation streams — then applies seeded random mutations (bit
+// checkpoint, raw DEFLATE with the gzip/zlib/WCKP containers and FPC
+// streams — then applies seeded random mutations (bit
 // flips, truncations, length-field corruption; see util/mutate.hpp) and
 // feeds each mutant to its decoder. The contract:
 // every decoder either throws a typed wck::Error or returns a valid
@@ -27,7 +27,6 @@
 #include "ckpt/codec.hpp"
 #include "core/compressor.hpp"
 #include "core/synthetic.hpp"
-#include "core/truncation.hpp"
 #include "deflate/deflate.hpp"
 #include "deflate/huffman_only.hpp"
 #include "deflate/parallel.hpp"
@@ -156,8 +155,6 @@ std::vector<CorpusEntry> build_corpus() {
 
   corpus.push_back({"fpc", fpc_compress(field.values()),
                     [](const Bytes& b) { (void)fpc_decompress(b); }});
-  corpus.push_back({"truncation", truncation_compress(field, 20),
-                    [](const Bytes& b) { (void)truncation_decompress(b); }});
 
   // Store-service wire frames: mutants hit the frame header (magic,
   // version, length, CRC) and the message body decoders. The one-shot
